@@ -1,7 +1,7 @@
 """Extension: the trace-analysis pipeline itself, end to end.
 
 Not a paper figure — this guards the observability stack the other
-benchmarks lean on.  One causally-traced migration is pushed through
+benchmarks lean on.  One traced migration is pushed through
 every analyzer (causal graph, downtime critical path, Perfetto export,
 trace diff) and the *structural* outputs are recorded: counts of nodes,
 edges, segments, flows, and the critical-path attribution closure.
@@ -27,9 +27,9 @@ PAGES = 2048
 CLIENTS = 8
 
 
-def traced_run(causal: bool):
+def traced_run():
     cluster = build_cluster(n_nodes=2, with_db=False)
-    tracer = cluster.env.enable_tracing(causal=causal)
+    tracer = cluster.env.enable_tracing()
     node = cluster.nodes[0]
     proc = node.kernel.spawn_process("zone_serv0")
     proc.address_space.mmap(PAGES, tag="heap")
@@ -47,29 +47,24 @@ def traced_run(causal: bool):
 
 
 def run():
-    causal, _ = traced_run(causal=True)
-    plain, _ = traced_run(causal=False)
+    tracer, _ = traced_run()
 
-    graph = build_causal_graph(causal.events)
-    plain_graph = build_causal_graph(plain.events)
-    (sl,) = migration_slices(causal.events)
+    graph = build_causal_graph(tracer.events)
+    (sl,) = migration_slices(tracer.events)
     down = downtime_critical_path(sl)
     total = total_critical_path(sl)
-    doc = to_chrome_trace(causal.events)
+    doc = to_chrome_trace(tracer.events)
     flows = sum(1 for e in doc["traceEvents"] if e["ph"] == "s")
-    moved = sum(len(d.ranked()) for d in diff_traces(causal.events, causal.events))
+    moved = sum(len(d.ranked()) for d in diff_traces(tracer.events, tracer.events))
 
     down_closure = 100.0 * sum(s.duration for s in down.segments) / down.total
     total_closure = 100.0 * sum(s.duration for s in total.segments) / total.total
     return {
-        "trace_events": len(causal.events),
+        "trace_events": len(tracer.events),
         "graph_nodes": len(graph),
         "graph_edges": len(graph.edges),
         "explicit_edges": sum(
             1 for e in graph.edges if e.kind in ("caused_by", "parent")
-        ),
-        "inferred_edges_plain": sum(
-            1 for e in plain_graph.edges if e.kind == "inferred"
         ),
         "downtime_segments": len(down.segments),
         "downtime_closure_pct": down_closure,
@@ -91,11 +86,6 @@ def bench_result(quick: bool) -> dict:
         },
         "explicit_edges": {
             "value": float(r["explicit_edges"]),
-            "unit": "count",
-            "direction": "higher",
-        },
-        "inferred_edges_plain": {
-            "value": float(r["inferred_edges_plain"]),
             "unit": "count",
             "direction": "higher",
         },
@@ -123,7 +113,7 @@ def bench_result(quick: bool) -> dict:
         [
             "downtime_closure_pct > 99.999",
             "self_diff_moved < 1",
-            "inferred_edges_plain > 0",
+            "perfetto_flows > 0",
         ],
         values,
     )
@@ -148,8 +138,8 @@ def test_ext_trace_analysis(once):
     # Attribution closure is the headline invariant: exactly 100%.
     assert abs(r["downtime_closure_pct"] - 100.0) < 1e-6
     assert abs(r["total_closure_pct"] - 100.0) < 1e-6
-    # Causal mode must out-annotate structural inference.
-    assert r["explicit_edges"] > r["inferred_edges_plain"] > 0
+    # Every graph edge is an explicit annotation.
+    assert r["explicit_edges"] == r["graph_edges"] > 0
     # A trace diffed against itself moves nothing.
     assert r["self_diff_moved"] == 0
     assert r["perfetto_flows"] > 0

@@ -24,7 +24,8 @@ from repro.analysis import render_table
 from repro.cluster import build_cluster
 from repro.core import LiveMigrationConfig, migrate_process
 from repro.obs import trace_to_jsonl
-from repro.testing import establish_clients, run_for, start_dirtier
+from repro.scenarios.workload import HotSet, start_dirtier
+from repro.testing import establish_clients, run_for
 
 PAGES = 512
 HOT_PAGES = 64
@@ -40,7 +41,9 @@ def migrate_once(mode, compression="none", trace=False):
     area = proc.address_space.mmap(PAGES, tag="world-state")
     establish_clients(cluster, source, proc, 27960, 2)
     # Players keep mutating a hot slice of the world throughout.
-    stats = start_dirtier(cluster, proc, area, count=HOT_PAGES, interval=0.002)
+    stats = start_dirtier(
+        cluster.env, proc, area, HotSet(pages=HOT_PAGES, interval=0.002)
+    )
     run_for(cluster, 0.5)
 
     cfg = LiveMigrationConfig(mode=mode, compression=compression)

@@ -55,18 +55,6 @@ class CompressStats:
     def saved_bytes(self) -> int:
         return self.raw_bytes - self.wire_bytes
 
-    def to_fields(self) -> dict:
-        """Flat view for trace events / report sections."""
-        return {
-            "pages": self.pages,
-            "raw_bytes": self.raw_bytes,
-            "wire_bytes": self.wire_bytes,
-            "saved_bytes": self.saved_bytes,
-            "zero_pages": self.zero_pages,
-            "delta_pages": self.delta_pages,
-            "full_pages": self.full_pages,
-        }
-
 
 class PageCompressor:
     """Zero-page (and optionally XBZRLE) page-stream compressor.

@@ -541,8 +541,8 @@ class MigrationDaemon:
         if tr.enabled:
             tr.event(
                 "capture.reinject",
-                parent=restore_span or None,
-                caused_by=restore_span or None,
+                parent=restore_span,
+                caused_by=restore_span,
                 pid=pid,
                 session=st.session,
                 captured=captured_total,
@@ -565,8 +565,8 @@ class MigrationDaemon:
             if tr.enabled:
                 tr.event(
                     "migd.postcopy.arm",
-                    parent=restore_span or None,
-                    caused_by=restore_span or None,
+                    parent=restore_span,
+                    caused_by=restore_span,
                     pid=pid,
                     session=st.session,
                     absent=proc.address_space.absent_count,
@@ -578,7 +578,7 @@ class MigrationDaemon:
         if tr.enabled:
             tr.event(
                 "migd.thaw",
-                caused_by=restore_span or None,
+                caused_by=restore_span,
                 pid=pid,
                 session=st.session,
                 node=self.host.name,

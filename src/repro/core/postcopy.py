@@ -202,7 +202,7 @@ class PostcopyFetcher:
             "start": start,
             "end": end,
         }
-        if tr.causal and fault_ref:
+        if tr.enabled:
             # Cross-node causal edge: the source's migd.postcopy.serve
             # record links back to the fault that demanded it.
             fetch_body["cause"] = fault_ref

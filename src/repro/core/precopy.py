@@ -163,8 +163,8 @@ class LiveMigrationEngine:
         self._throttle = 0.0
         self._throttle_since = 0.0
         #: Causal id of this migration's ``mig.start`` record (0 when
-        #: the tracer is not in causal mode); the hierarchy root for the
-        #: engine's phase spans.
+        #: tracing is off); the hierarchy root for the engine's phase
+        #: spans.
         self._causal_root = 0
 
     # -- public API -----------------------------------------------------------
@@ -186,9 +186,9 @@ class LiveMigrationEngine:
             # Causal root of the whole migration: chains back to the
             # conductor decision that launched it (when one seeded
             # ``session.causal_ref``) and parents every phase span.
-            root = tr.event(
+            self._causal_root = tr.event(
                 "mig.start",
-                caused_by=self.session.causal_ref or None,
+                caused_by=self.session.causal_ref,
                 ref=True,
                 pid=proc.pid,
                 session=sid,
@@ -198,9 +198,7 @@ class LiveMigrationEngine:
                 dest=self.dest.name,
                 n_threads=len(proc.threads),
             )
-            if root:
-                self._causal_root = root
-                self.session.causal_ref = root
+            self.session.causal_ref = self._causal_root
 
         try:
             # Live-checkpoint request: signal, clone the helper thread,
@@ -252,8 +250,8 @@ class LiveMigrationEngine:
                 round_span = (
                     tr.begin(
                         "mig.precopy.round",
-                        parent=self._causal_root or None,
-                        caused_by=self.session.causal_ref or None,
+                        parent=self._causal_root,
+                        caused_by=self.session.causal_ref,
                         pid=proc.pid,
                         session=sid,
                         round=report.precopy_rounds,
@@ -291,7 +289,7 @@ class LiveMigrationEngine:
                     else None,
                     "socket_records": sock_records,
                 }
-                if tr.causal and round_span:
+                if tr.enabled:
                     # The cross-node causal edge travels in the wire
                     # body (message size is the explicit nbytes, so the
                     # extra key never affects timing).
@@ -374,18 +372,17 @@ class LiveMigrationEngine:
             if tr.enabled:
                 freeze_ref = tr.event(
                     "mig.freeze.enter",
-                    caused_by=self.session.causal_ref or None,
+                    caused_by=self.session.causal_ref,
                     ref=True,
                     pid=proc.pid,
                     session=sid,
                 )
-                if freeze_ref:
-                    self.ctx.causal_ref = freeze_ref
+                self.ctx.causal_ref = freeze_ref
             barrier_span = (
                 tr.begin(
                     "mig.freeze.barrier",
-                    parent=self._causal_root or None,
-                    caused_by=freeze_ref or None,
+                    parent=self._causal_root,
+                    caused_by=freeze_ref,
                     pid=proc.pid,
                     session=sid,
                     threads=len(proc.threads),
@@ -467,8 +464,8 @@ class LiveMigrationEngine:
             if tr.enabled:
                 image_ref = tr.event(
                     "mig.freeze.image",
-                    parent=self._causal_root or None,
-                    caused_by=freeze_ref or None,
+                    parent=self._causal_root,
+                    caused_by=freeze_ref,
                     ref=True,
                     pid=proc.pid,
                     session=sid,
@@ -506,8 +503,8 @@ class LiveMigrationEngine:
             transfer_span = (
                 tr.begin(
                     "mig.freeze.transfer",
-                    parent=self._causal_root or None,
-                    caused_by=image_ref or None,
+                    parent=self._causal_root,
+                    caused_by=image_ref,
                     pid=proc.pid,
                     session=sid,
                     nbytes=image.total_bytes,
@@ -515,7 +512,7 @@ class LiveMigrationEngine:
                 if tr.enabled
                 else 0
             )
-            if tr.causal and transfer_span:
+            if tr.enabled:
                 freeze_body["cause"] = transfer_span
             reply = yield self.channel.request(freeze_body, image.total_bytes)
             report.thawed_at = reply["thawed_at"]
@@ -530,16 +527,14 @@ class LiveMigrationEngine:
                 # destination; push the residual set and serve faults.
                 self.session.transition(SessionState.POSTCOPY)
                 if tr.enabled:
-                    enter_ref = tr.event(
+                    self.session.causal_ref = tr.event(
                         "mig.postcopy.enter",
-                        caused_by=self.session.causal_ref or None,
+                        caused_by=self.session.causal_ref,
                         ref=True,
                         pid=proc.pid,
                         session=sid,
                         residual_pages=postcopy_store.remaining_pages,
                     )
-                    if enter_ref:
-                        self.session.causal_ref = enter_ref
                 yield from self._postcopy_push(postcopy_store)
                 self.source_migd.unregister_postcopy(sid)
 
@@ -549,7 +544,7 @@ class LiveMigrationEngine:
             if tr.enabled:
                 tr.event(
                     "mig.complete",
-                    caused_by=self.session.causal_ref or None,
+                    caused_by=self.session.causal_ref,
                     pid=proc.pid,
                     session=sid,
                     rounds=report.precopy_rounds,
@@ -612,7 +607,7 @@ class LiveMigrationEngine:
                 fields["crashed"] = True
             tr.event(
                 "mig.abort",
-                caused_by=self.session.causal_ref or None,
+                caused_by=self.session.causal_ref,
                 **fields,
             )
         return report
@@ -637,7 +632,7 @@ class LiveMigrationEngine:
         if tr.enabled:
             tr.event(
                 "mig.autoconverge.throttle",
-                caused_by=self._causal_root or None,
+                caused_by=self._causal_root,
                 pid=self.proc.pid,
                 session=self.session.label,
                 round=report.precopy_rounds - 1,
@@ -660,7 +655,7 @@ class LiveMigrationEngine:
         if tr.enabled:
             tr.event(
                 "mig.autoconverge.release",
-                caused_by=self._causal_root or None,
+                caused_by=self._causal_root,
                 pid=self.proc.pid,
                 session=self.session.label,
                 throttled_seconds=report.throttled_seconds,
@@ -686,7 +681,7 @@ class LiveMigrationEngine:
             if ccpu:
                 yield self.env.timeout(ccpu)
             push_body = {"op": "push", "pid": proc.pid, "pages": batch}
-            if tr.causal and self.session.causal_ref:
+            if tr.enabled and self.session.causal_ref:
                 push_body["cause"] = self.session.causal_ref
             yield self.channel.request(push_body, wire)
             report.bytes.postcopy_pages += wire
@@ -694,8 +689,8 @@ class LiveMigrationEngine:
             if tr.enabled:
                 tr.event(
                     "mig.postcopy.push",
-                    parent=self._causal_root or None,
-                    caused_by=self.session.causal_ref or None,
+                    parent=self._causal_root,
+                    caused_by=self.session.causal_ref,
                     pid=proc.pid,
                     session=sid,
                     pages=len(batch),

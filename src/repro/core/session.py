@@ -159,7 +159,7 @@ class MigrationSession:
         #: Causal id of the most recent record on this session's causal
         #: chain (0 = none).  Seeded by the conductor with its decision
         #: record; each ``session.state`` event links back to it and
-        #: becomes the new head.  Only meaningful under a causal tracer.
+        #: becomes the new head.  Stays 0 when tracing is off.
         self.causal_ref: int = 0
 
     # -- state machine ------------------------------------------------------
@@ -182,21 +182,17 @@ class MigrationSession:
             self.env.faults.on_transition(self, self.state, to)
         tr = self.env.tracer
         if tr.enabled:
-            # Under a causal tracer each phase transition links back to
-            # the previous record on the session chain and becomes the
-            # new chain head; with causal mode off this is byte-for-byte
-            # the historical event.
-            ref = tr.event(
+            # Each phase transition links back to the previous record on
+            # the session chain and becomes the new chain head.
+            self.causal_ref = tr.event(
                 "session.state",
-                caused_by=self.causal_ref or None,
+                caused_by=self.causal_ref,
                 ref=True,
                 pid=self.id.pid,
                 session=self.label,
                 frm=self.state.value,
                 to=to.value,
             )
-            if ref:
-                self.causal_ref = ref
         self.state = to
 
     # -- abort/rollback -----------------------------------------------------

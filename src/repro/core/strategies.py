@@ -98,8 +98,8 @@ class MigrationContext:
     #: Session id string (``source>dest#pid``) carried by every wire
     #: body and trace record of this migration; None for bare contexts.
     session: Optional[str] = None
-    #: Causal id of the freeze-enter record (causal tracer only, else
-    #: 0); strategies stamp it on their wire bodies as ``"cause"`` so
+    #: Causal id of the freeze-enter record (0 when tracing is off);
+    #: strategies stamp it on their wire bodies as ``"cause"`` so
     #: destination-side staging records chain back to the freeze.
     causal_ref: int = 0
     #: flow_id -> source socket object, for in-place restore.
@@ -113,9 +113,9 @@ class MigrationContext:
         return self.source.env
 
     def stamp_cause(self, body: dict) -> dict:
-        """Attach the freeze causal ref to a wire body (causal tracer
-        only — default-trace wire bodies stay unchanged)."""
-        if self.causal_ref and self.env.tracer.causal:
+        """Attach the freeze causal ref to a wire body (traced runs
+        only — untraced wire bodies stay unchanged)."""
+        if self.env.tracer.enabled and self.causal_ref:
             body["cause"] = self.causal_ref
         return body
 

@@ -191,10 +191,6 @@ class TransD:
     def clear_tombstone(self, key: tuple[int, IPAddr, int]) -> None:
         self._tombstones.pop(key, None)
 
-    @property
-    def tombstone_count(self) -> int:
-        return len(self._tombstones)
-
     def take_rules_for(
         self, conns: list[tuple[IPAddr, int, int]]
     ) -> list[TranslationRule]:

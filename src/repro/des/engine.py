@@ -7,7 +7,7 @@ from typing import Any, Generator, Optional
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
-from .events import NORMAL, URGENT, AllOf, AnyOf, Deferred, Event, Timeout
+from .events import NORMAL, URGENT, AllOf, Deferred, Event, Timeout
 from .process import Process
 
 __all__ = ["Environment", "EmptySchedule", "StopSimulation"]
@@ -69,20 +69,17 @@ class Environment:
         self,
         tracer: Optional[Tracer] = None,
         *,
-        causal: bool = False,
         max_events: Optional[int] = None,
     ) -> Tracer:
         """Attach a recording :class:`~repro.obs.Tracer` (and return it).
 
         Until this is called, :attr:`tracer` is the shared no-op tracer
         and instrumented components pay only an attribute load plus a
-        branch per would-be record.  ``causal=True`` records parent /
-        caused-by causal edges (default traces stay byte-identical);
-        ``max_events=N`` bounds tracer memory with a ring buffer (see
-        :class:`~repro.obs.Tracer`).
+        branch per would-be record.  ``max_events=N`` bounds tracer
+        memory with a ring buffer (see :class:`~repro.obs.Tracer`).
         """
         if tracer is None:
-            tracer = Tracer(self, causal=causal, max_events=max_events)
+            tracer = Tracer(self, max_events=max_events)
         self.tracer = tracer
         return self.tracer
 
@@ -120,9 +117,6 @@ class Environment:
 
     def all_of(self, events) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:

@@ -81,8 +81,8 @@ class FaultInjector:
         #: Hosts taken down permanently; a stall's resume never
         #: resurrects a crashed node.
         self._crashed: set[str] = set()
-        #: Causal id of each fault's ``fault.injected`` record (causal
-        #: tracer only), so effect events chain back to the injection.
+        #: Causal id of each fault's ``fault.injected`` record (traced
+        #: runs only), so effect events chain back to the injection.
         self._injection_refs: dict[int, int] = {}
 
     # -- arming ---------------------------------------------------------------
@@ -168,8 +168,7 @@ class FaultInjector:
                 fault=fault.describe(),
                 **extra,
             )
-            if ref:
-                self._injection_refs[id(fault)] = ref
+            self._injection_refs[id(fault)] = ref
         return ref
 
     def _announce(self, fault: _WindowedLinkFault):
@@ -192,7 +191,7 @@ class FaultInjector:
             for iface in ifaces:
                 iface.up = False
             if tr.enabled:
-                tr.event("fault.node.crash", caused_by=ref or None, node=host.name)
+                tr.event("fault.node.crash", caused_by=ref, node=host.name)
             return
         # Stall: down, hold, resume — unless a crash landed meanwhile.
         for iface in ifaces:
@@ -200,7 +199,7 @@ class FaultInjector:
         if tr.enabled:
             tr.event(
                 "fault.node.stall",
-                caused_by=ref or None,
+                caused_by=ref,
                 node=host.name,
                 duration=fault.duration,
             )
@@ -210,7 +209,7 @@ class FaultInjector:
         for iface in ifaces:
             iface.up = True
         if tr.enabled:
-            tr.event("fault.node.resume", caused_by=ref or None, node=host.name)
+            tr.event("fault.node.resume", caused_by=ref, node=host.name)
 
     # -- delivery: link filter -------------------------------------------------
     def _make_filter(self, link: Link, faults: list[_WindowedLinkFault]):
@@ -297,19 +296,17 @@ class FaultInjector:
         ref = self._record_injection(fault, session=session.label, phase=fault.phase)
         tr = self.env.tracer
         if tr.enabled:
-            abort_ref = tr.event(
+            # The session's next records (ABORTED transition, mig.abort)
+            # chain back to the injected fault.
+            session.causal_ref = tr.event(
                 "fault.migd.abort",
-                caused_by=ref or None,
+                caused_by=ref,
                 ref=True,
                 session=session.label,
                 pid=session.id.pid,
                 phase=fault.phase,
                 dest=session.dest.name,
             )
-            if abort_ref:
-                # The session's next records (ABORTED transition,
-                # mig.abort) chain back to the injected fault.
-                session.causal_ref = abort_ref
 
 
 def install_faults(cluster: "Cluster", plan: FaultPlan, rng=None) -> FaultInjector:

@@ -44,7 +44,7 @@ from .strategy import (
     make_strategy,
     register_strategy,
 )
-from .twophase import MigrationAdmission, MigrationSlot
+from .twophase import MigrationAdmission
 
 __all__ = [
     "LoadInfo",
@@ -59,7 +59,6 @@ __all__ = [
     "LargestProcessSelectionPolicy",
     "InformationPolicy",
     "MigrationAdmission",
-    "MigrationSlot",
     "Conductor",
     "ConductorConfig",
     "MigrationEvent",

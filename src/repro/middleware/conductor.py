@@ -108,10 +108,6 @@ class ConductorConfig:
     #: last heartbeat is older than this but never ranks them as
     #: migration candidates.  ``None`` = reuse ``peer_stale_timeout``.
     plan_staleness: Optional[float] = None
-    #: Emit ``plan.*`` trace events.  ``None`` = auto: on for every
-    #: strategy except ``paper-threshold`` (whose traces must stay
-    #: byte-identical with the pre-planner conductor).
-    trace_plans: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -406,8 +402,8 @@ class Conductor:
         destination looks like before the detector has declared it.
 
         ``cause`` is the causal id of the plan action that requested the
-        migration (0 = none); under a causal tracer the recovery
-        decisions and the launch decision chain back to it.
+        migration (0 = none); in the trace the recovery decisions and
+        the launch decision chain back to it.
 
         Returns an outcome dict for the planner's accounting:
         ``{"success", "attempts", "reserved"}`` — ``attempts`` counts
@@ -429,7 +425,7 @@ class Conductor:
                 if tr.enabled:
                     tr.event(
                         "recover.backoff",
-                        caused_by=cause or None,
+                        caused_by=cause,
                         node=me,
                         pid=proc.pid,
                         attempt=attempt,
@@ -440,7 +436,7 @@ class Conductor:
                 if tr.enabled:
                     tr.event(
                         "recover.skip",
-                        caused_by=cause or None,
+                        caused_by=cause,
                         node=me,
                         pid=proc.pid,
                         dest=candidate.node_name,
@@ -462,7 +458,7 @@ class Conductor:
                 if tr.enabled:
                     tr.event(
                         "recover.retry",
-                        caused_by=cause or None,
+                        caused_by=cause,
                         node=me,
                         pid=proc.pid,
                         attempt=attempt,
@@ -484,9 +480,9 @@ class Conductor:
                 # Seed the session's causal chain: mig.start (and the
                 # whole migration DAG under it) links back to this
                 # launch decision, which links back to the plan action.
-                decision_ref = tr.event(
+                engine.session.causal_ref = tr.event(
                     "cond.decision",
-                    caused_by=cause or None,
+                    caused_by=cause,
                     ref=True,
                     node=me,
                     pid=proc.pid,
@@ -495,8 +491,6 @@ class Conductor:
                     dest=dest.name,
                     attempt=attempt,
                 )
-                if decision_ref:
-                    engine.session.causal_ref = decision_ref
             report: MigrationReport = yield engine.start()
             self.events.append(
                 MigrationEvent(
@@ -533,7 +527,7 @@ class Conductor:
             if tr.enabled:
                 tr.event(
                     "recover.retry",
-                    caused_by=cause or None,
+                    caused_by=cause,
                     node=me,
                     pid=proc.pid,
                     session=session,
@@ -546,7 +540,7 @@ class Conductor:
             if tr.enabled:
                 tr.event(
                     "recover.giveup",
-                    caused_by=cause or None,
+                    caused_by=cause,
                     node=me,
                     pid=proc.pid,
                     attempts=attempt,

@@ -152,12 +152,6 @@ class FailureDetector:
         rec = self._peers.get(ip)
         return rec.state if rec is not None else ALIVE
 
-    def is_suspect(self, ip: IPAddr) -> bool:
-        return self.state(ip) == SUSPECT
-
-    def is_dead(self, ip: IPAddr) -> bool:
-        return self.state(ip) == DEAD
-
     def usable(self, ip: IPAddr) -> bool:
         """Should new work target this peer?  Only when alive."""
         return self.state(ip) == ALIVE

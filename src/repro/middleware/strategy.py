@@ -168,8 +168,8 @@ class MigrationAction:
     #: Earliest simulated time this action should execute (0 = now).
     not_before: float = 0.0
     #: Causal id of this action's ``plan.action`` trace record (0 when
-    #: plan tracing is off or the tracer is not causal); fate records
-    #: and the launched session chain back to it.
+    #: tracing is off); fate records and the launched session chain
+    #: back to it.
     causal_ref: int = 0
 
     @property
@@ -659,14 +659,6 @@ class Planner:
             if cfg.plan_staleness is not None
             else cfg.peer_stale_timeout
         )
-        #: ``plan.*`` trace events change the byte stream, so they stay
-        #: off for the default strategy (trace byte-identity with the
-        #: pre-planner conductor) unless explicitly requested.
-        self.trace_plans = (
-            cfg.trace_plans
-            if cfg.trace_plans is not None
-            else strategy.name != PaperThresholdStrategy.name
-        )
         self._history: dict[str, deque] = {}
         self._deferred: list[MigrationAction] = []
         # planner.* counters.
@@ -894,10 +886,10 @@ class Planner:
         self.deferred_total += 1
         self._deferred.append(action)
         tr = self.env.tracer
-        if self.trace_plans and tr.enabled:
+        if tr.enabled:
             tr.event(
                 "plan.defer",
-                caused_by=action.causal_ref or None,
+                caused_by=action.causal_ref,
                 node=self.cond.host.name,
                 strategy=self.strategy.name,
                 pid=action.proc.pid,
@@ -907,10 +899,10 @@ class Planner:
     def _drop(self, action: MigrationAction, reason: str) -> None:
         self.dropped_total += 1
         tr = self.env.tracer
-        if self.trace_plans and tr.enabled:
+        if tr.enabled:
             tr.event(
                 "plan.drop",
-                caused_by=action.causal_ref or None,
+                caused_by=action.causal_ref,
                 node=self.cond.host.name,
                 strategy=self.strategy.name,
                 pid=action.proc.pid,
@@ -928,11 +920,11 @@ class Planner:
         else:
             self.aborted_total += 1
         tr = self.env.tracer
-        if self.trace_plans and tr.enabled:
+        if tr.enabled:
             dest = action.destination
             tr.event(
                 "plan.outcome",
-                caused_by=action.causal_ref or None,
+                caused_by=action.causal_ref,
                 node=self.cond.host.name,
                 strategy=self.strategy.name,
                 pid=action.proc.pid,
@@ -943,12 +935,12 @@ class Planner:
 
     def _trace_plan(self, plan: MigrationPlan) -> None:
         tr = self.env.tracer
-        if not (self.trace_plans and tr.enabled):
+        if not tr.enabled:
             return
-        # Under a causal tracer each plan.action carries the emitting
-        # plan as its parent/cause and gets its own ref; the action's
-        # later fate records (defer/drop/outcome) and the conductor's
-        # cond.decision link back to it via ``action.causal_ref``.
+        # Each plan.action carries the emitting plan as its parent/cause
+        # and gets its own ref; the action's later fate records
+        # (defer/drop/outcome) and the conductor's cond.decision link
+        # back to it via ``action.causal_ref``.
         plan_ref = tr.event(
             "plan.emitted",
             ref=True,
@@ -960,8 +952,8 @@ class Planner:
             dest = action.destination
             action.causal_ref = tr.event(
                 "plan.action",
-                parent=plan_ref or None,
-                caused_by=plan_ref or None,
+                parent=plan_ref,
+                caused_by=plan_ref,
                 ref=True,
                 node=self.cond.host.name,
                 strategy=plan.strategy,

@@ -5,8 +5,8 @@ the sender (Section IV-A).  The paper admits only one migration at a
 time; :class:`MigrationAdmission` generalizes that to a capacity-N
 admission — up to N concurrent migration sessions, each followed by its
 own *calm-down* period so resource indicators can stabilise before the
-capacity is handed out again.  :class:`MigrationSlot` is the capacity-1
-special case and preserves the paper's semantics exactly.
+capacity is handed out again.  ``capacity=1`` is the paper's semantics
+exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..des import Environment
 
-__all__ = ["MigrationAdmission", "MigrationSlot"]
+__all__ = ["MigrationAdmission"]
 
 
 class MigrationAdmission:
@@ -116,11 +116,3 @@ class MigrationAdmission:
     def start_calm_down(self) -> None:
         """Enter a calm-down without holding a unit (sender side)."""
         self._cooldowns.append(self.env.now + self.calm_down)
-
-
-class MigrationSlot(MigrationAdmission):
-    """One node's single inbound/outbound migration slot + calm-down
-    (the paper's semantics: capacity 1)."""
-
-    def __init__(self, env: Environment, calm_down: float = 10.0) -> None:
-        super().__init__(env, capacity=1, calm_down=calm_down)

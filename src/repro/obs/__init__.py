@@ -1,8 +1,8 @@
 """``repro.obs`` — tracing and metrics for the simulated cluster.
 
 - :mod:`tracer` — typed span/event recording with simulated timestamps,
-  zero-overhead when disabled (the default); ``Tracer(causal=True)``
-  additionally records parent-span and cross-node ``caused_by`` edges;
+  zero-overhead when disabled (the default); every record can carry
+  its parent span and a cross-node ``caused_by`` edge;
 - :mod:`metrics` — counters/gauges/histograms sampled into the existing
   :class:`~repro.des.TimeSeries` machinery;
 - :mod:`samplers` — per-node ``node.<ip>.*`` pull-based gauges covering

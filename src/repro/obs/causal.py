@@ -5,11 +5,9 @@ moved the pages first, degradation is low *because* demand fetches
 overlap execution — and this module turns a flat trace into that story:
 
 - :func:`build_causal_graph` assembles the per-session **causal DAG**
-  from the explicit ``parent`` / ``caused_by`` annotations a causal
-  tracer records (``Tracer(causal=True)``), plus *structural* edges
-  inferred from the protocol itself (freeze transfer → restore, page
-  fault → demand serve, precopy round → stage), so default traces
-  without causal annotations still produce a useful graph;
+  from the ``parent`` / ``caused_by`` annotations the tracer records
+  (precopy round → stage, freeze transfer → restore, restore → thaw,
+  page fault → demand serve, ...);
 - :func:`downtime_critical_path` decomposes a session's downtime window
   (``mig.freeze.enter`` .. ``migd.thaw``) into an exhaustive,
   non-overlapping sequence of labelled segments — signal delivery,
@@ -31,7 +29,7 @@ transfer beats barrier), and uncovered gaps get positional labels
 (``freeze.signal`` before the barrier, ``freeze.serialize`` between
 barrier and transfer, ``freeze.other`` elsewhere).  Because the
 segments partition the window, attribution always sums to 100% of the
-measured downtime — on any trace, causal or not.
+measured downtime.
 """
 
 from __future__ import annotations
@@ -80,9 +78,8 @@ class CausalNode:
 class CausalEdge:
     """A directed cause → effect edge.
 
-    ``kind`` is ``"caused_by"`` / ``"parent"`` for explicit annotations
-    (causal tracer) and ``"inferred"`` for structural edges derived from
-    the protocol on any trace.
+    ``kind`` is ``"caused_by"`` (a cross-record cause) or ``"parent"``
+    (span hierarchy).
     """
 
     src: int
@@ -118,7 +115,7 @@ class CausalGraph:
 
     def chain(self, cid: int) -> list[CausalNode]:
         """The cause chain ending at ``cid`` (root first): walk incoming
-        ``caused_by``/``inferred`` edges backwards, earliest cause first
+        ``caused_by`` edges backwards, earliest cause first
         when several converge.  Cycle-safe (visited set)."""
         out: list[CausalNode] = []
         seen: set[int] = set()
@@ -153,32 +150,14 @@ def build_causal_graph(
 ) -> CausalGraph:
     """Assemble the causal DAG of a trace (optionally one session's).
 
-    Explicit ``parent``/``caused_by`` annotations become edges directly.
-    On top of (or in the absence of) those, *structural* edges are
-    inferred per session from the protocol's known shape:
-
-    - ``mig.precopy.round`` span → the next ``migd.stage`` (phase
-      ``round``) record;
-    - ``mig.freeze.transfer`` span → the ``migd.restore`` span;
-    - ``migd.restore`` span → ``migd.thaw``;
-    - ``pagefaultd.fault`` → the next ``migd.postcopy.serve`` record.
-
-    Point events without a causal ``ref`` get synthetic negative ids
-    (deterministic: allocation order in the stream), so inferred edges
-    work on default traces where only spans carry ids.
+    Every span and every point event with a causal ``ref`` or a
+    ``caused_by`` becomes a node; the ``parent``/``caused_by``
+    annotations become edges.  Point events without a ``ref`` get
+    synthetic negative ids (deterministic: allocation order in the
+    stream).
     """
     graph = CausalGraph()
     synth = 0
-
-    def ensure_node(ev: TraceEvent) -> int:
-        nonlocal synth
-        cid = cause_id(ev)
-        if cid is None:
-            synth -= 1
-            cid = synth
-        if cid not in graph.nodes:
-            graph.nodes[cid] = _node_from_event(ev, cid)
-        return cid
 
     if session is not None:
         events = [
@@ -188,82 +167,27 @@ def build_causal_graph(
             or (ev.kind == "end" and not ev.fields.get("session"))
         ]
 
-    # Pass 1: explicit nodes and edges; remember per-session protocol
-    # records for pass 2's structural inference.
-    per_session: dict[Optional[str], dict[str, list[tuple[int, TraceEvent]]]] = {}
     span_ends: dict[int, float] = {}
     for ev in events:
         if ev.kind == "end" and ev.span_id is not None:
             span_ends[ev.span_id] = ev.time
             continue
-        interesting = (
-            ev.span_id is not None
-            or ev.ref is not None
-            or ev.caused_by is not None
-            or ev.name in _STRUCTURAL_NAMES
-        )
-        if not interesting:
-            continue
-        cid = ensure_node(ev)
+        cid = cause_id(ev)
+        if cid is None:
+            if ev.caused_by is None:
+                continue
+            synth -= 1
+            cid = synth
+        if cid not in graph.nodes:
+            graph.nodes[cid] = _node_from_event(ev, cid)
         if ev.caused_by is not None:
             graph.edges.append(CausalEdge(ev.caused_by, cid, "caused_by"))
         if ev.parent is not None:
             graph.edges.append(CausalEdge(ev.parent, cid, "parent"))
-        if ev.name in _STRUCTURAL_NAMES:
-            sess = per_session.setdefault(ev.fields.get("session"), {})
-            sess.setdefault(ev.name, []).append((cid, ev))
     for cid, node in graph.nodes.items():
         if node.kind == "span" and cid in span_ends:
             node.end = span_ends[cid]
-
-    # Pass 2: structural edges (skip pairs already connected explicitly).
-    existing = {(e.src, e.dst) for e in graph.edges}
-
-    def infer(src_cid: int, dst_cid: int) -> None:
-        if (src_cid, dst_cid) not in existing:
-            graph.edges.append(CausalEdge(src_cid, dst_cid, "inferred"))
-            existing.add((src_cid, dst_cid))
-
-    for sess_records in per_session.values():
-        _infer_next(sess_records, "mig.precopy.round", "migd.stage", infer)
-        _infer_next(sess_records, "mig.freeze.transfer", "migd.restore", infer)
-        _infer_next(sess_records, "migd.restore", "migd.thaw", infer)
-        _infer_next(sess_records, "pagefaultd.fault", "migd.postcopy.serve", infer)
     return graph
-
-
-#: Records that participate in structural (inferred) edges.
-_STRUCTURAL_NAMES = frozenset(
-    {
-        "mig.start",
-        "mig.precopy.round",
-        "migd.stage",
-        "mig.freeze.enter",
-        "mig.freeze.transfer",
-        "migd.restore",
-        "migd.thaw",
-        "pagefaultd.fault",
-        "migd.postcopy.serve",
-        "mig.complete",
-        "mig.abort",
-    }
-)
-
-
-def _infer_next(records: dict, src_name: str, dst_name: str, infer) -> None:
-    """Pair each ``src_name`` record with the first not-yet-paired
-    ``dst_name`` record at or after it (protocol order: one effect per
-    cause, FIFO)."""
-    sources = records.get(src_name, [])
-    dests = records.get(dst_name, [])
-    di = 0
-    for src_cid, src_ev in sources:
-        while di < len(dests) and dests[di][1].time < src_ev.time:
-            di += 1
-        if di >= len(dests):
-            break
-        infer(src_cid, dests[di][0])
-        di += 1
 
 
 # ---------------------------------------------------------------------------

@@ -351,8 +351,8 @@ def render_plan_report(
         ]
     if not plan_events:
         return (
-            "(no plan.* records in trace — the default paper-threshold "
-            "strategy traces plans only with ConductorConfig.trace_plans=True)"
+            "(no plan.* records in trace — no conductor planner ran while "
+            "tracing was on)"
             if strategy is None
             else f"(no plan.* records for strategy {strategy!r} in trace)"
         )

@@ -12,10 +12,10 @@ directly:
   is closed at the trace's last timestamp with ``"unfinished": true``);
 - point records become ``i`` instants (``fault.*`` get global scope so
   they draw full-height markers);
-- cross-node causal edges — explicit ``caused_by`` annotations and the
-  structural edges :func:`~repro.obs.causal.build_causal_graph` infers
-  on default traces — become ``s``/``f`` flow arrows, so the freeze
-  transfer visibly hands off to the destination restore.
+- cross-node causal edges — the ``caused_by`` annotations
+  :func:`~repro.obs.causal.build_causal_graph` collects — become
+  ``s``/``f`` flow arrows, so the freeze transfer visibly hands off to
+  the destination restore.
 
 Timestamps are simulated seconds scaled to microseconds (the format's
 unit); ``displayTimeUnit`` is milliseconds to match the paper's axes.
@@ -184,9 +184,8 @@ def to_chrome_trace(events: list[TraceEvent]) -> dict:
             }
         )
 
-    # Flow arrows for cross-node causal edges.  The graph's explicit
-    # edges cover causal-mode traces; its inferred structural edges give
-    # default traces the freeze-transfer → restore handoff.
+    # Flow arrows for cross-node causal edges (e.g. the freeze-transfer
+    # → restore handoff).
     graph = build_causal_graph(events)
     flow_id = 0
     for edge in graph.edges:

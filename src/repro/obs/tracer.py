@@ -48,10 +48,8 @@ class TraceEvent:
     the two edges of a span.  Begin/end edges of the same span share a
     ``span_id``; point events have ``span_id is None``.
 
-    The three causal attributes are populated only by a tracer in
-    **causal mode** (``Tracer(causal=True)``); default traces never
-    carry them, so their JSONL serialization is byte-identical with
-    pre-causal tracers:
+    The three causal attributes are set only where the instrumentation
+    supplies them (``None`` attributes are omitted from the JSONL):
 
     - ``parent`` — id of the enclosing span (hierarchy);
     - ``caused_by`` — id of the record that *caused* this one, possibly
@@ -118,7 +116,7 @@ class Span:
     #: migration aborted inside it).
     end: Optional[float]
     fields: dict[str, Any] = field(default_factory=dict)
-    #: Causal annotations copied from the begin edge (causal mode only).
+    #: Causal annotations copied from the begin edge.
     parent: Optional[int] = None
     caused_by: Optional[int] = None
 
@@ -134,13 +132,10 @@ class Tracer:
     :class:`~repro.des.Environment`), read at record time so events are
     stamped with simulated timestamps.
 
-    ``causal=True`` switches on **causal annotation**: the keyword-only
+    Every record carries its **causal annotation**: the keyword-only
     ``parent=`` / ``caused_by=`` arguments of :meth:`event` /
     :meth:`begin` are recorded, and ``event(..., ref=True)`` allocates
-    a causal id for the point event and returns it.  With causal mode
-    off (the default) those arguments are accepted and *dropped*, so
-    instrumentation sites can pass them unconditionally while default
-    same-seed traces stay byte-identical.
+    a causal id for the point event and returns it.
 
     ``max_events=N`` bounds tracer memory with a ring buffer: once full,
     the oldest record is dropped per append and counted in
@@ -155,17 +150,18 @@ class Tracer:
         self,
         clock,
         *,
-        causal: bool = False,
         max_events: Optional[int] = None,
     ) -> None:
         if max_events is not None and max_events <= 0:
             raise ValueError(f"max_events must be positive, got {max_events}")
         self._clock = clock
-        self.causal = bool(causal)
         self.max_events = max_events
         self.dropped_events = 0
         self.events = deque() if max_events is not None else []
         self._next_span_id = 0
+        #: ``span_id -> name`` of spans begun but not yet ended, so an
+        #: end edge is named even after the ring buffer evicted its begin.
+        self._open_spans: dict[int, str] = {}
 
     def __len__(self) -> int:
         return len(self.events)
@@ -197,13 +193,9 @@ class Tracer:
     ) -> int:
         """Record a point event.
 
-        Returns the event's causal id when ``ref=True`` and the tracer
-        is in causal mode, else 0 — callers can thread the return value
-        into later ``caused_by=`` arguments unconditionally (0 and
-        ``None`` are both "no cause")."""
-        if not self.causal:
-            self._append(TraceEvent(self._clock.now, name, "event", None, fields))
-            return 0
+        Returns the event's causal id when ``ref=True``, else 0 — callers
+        can thread the return value into later ``caused_by=`` arguments
+        unconditionally (0 and ``None`` are both "no cause")."""
         eid = 0
         if ref:
             self._next_span_id += 1
@@ -234,8 +226,9 @@ class Tracer:
         """Open a span; returns its id for the matching :meth:`end`."""
         self._next_span_id += 1
         sid = self._next_span_id
-        if self.causal:
-            ev = TraceEvent(
+        self._open_spans[sid] = name
+        self._append(
+            TraceEvent(
                 self._clock.now,
                 name,
                 "begin",
@@ -244,19 +237,13 @@ class Tracer:
                 parent=parent or None,
                 caused_by=caused_by or None,
             )
-        else:
-            ev = TraceEvent(self._clock.now, name, "begin", sid, fields)
-        self._append(ev)
+        )
         return sid
 
     def end(self, span_id: int, /, **fields) -> None:
         """Close the span opened by :meth:`begin`.  Extra fields are
         attached to the end edge (e.g. byte counts known only then)."""
-        name = ""
-        for ev in reversed(self.events):
-            if ev.span_id == span_id and ev.kind == "begin":
-                name = ev.name
-                break
+        name = self._open_spans.pop(span_id, "")
         self._append(TraceEvent(self._clock.now, name, "end", span_id, fields))
 
     def span(self, name: str, /, **fields):
@@ -306,7 +293,6 @@ class NullTracer:
     """
 
     enabled = False
-    causal = False
     dropped_events = 0
     max_events = None
     events: list = []  # always empty; shared is fine, nobody appends

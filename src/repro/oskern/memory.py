@@ -513,29 +513,11 @@ class AddressSpace:
                 update(zip(seg, view))
         return out
 
-    def dirty_version_runs(self) -> list[tuple[int, "array[int]"]]:
-        """Dirty pages as ``(start, versions)`` runs.
-
-        The versions are *copied* out of the backing stores (``array``
-        slices), so the returned runs are a stable dump snapshot:
-        workload writes after the dump never alias into it.
-        """
-        self._flush_versions()
-        out: list[tuple[int, array]] = []
-        for start, end in self._dirty.extents():
-            for seg, view in self._run_views(start, end):
-                out.append((seg.start, array("Q", view)))
-        return out
-
     # -- post-copy residency (pages mapped but not yet fetched) --------------
     def mark_absent(self, extents: list[tuple[int, int]]) -> None:
         """Mark ``(start, end)`` runs as mapped-but-not-resident."""
         for start, end in extents:
             self._absent.add(start, end)
-
-    def mark_present(self, start: int, end: int) -> int:
-        """Mark ``[start, end)`` resident; returns pages newly present."""
-        return self._absent.remove(start, end)
 
     def absent_in(self, start: int, end: int) -> list[tuple[int, int]]:
         """Absent runs clipped to ``[start, end)``."""
@@ -590,10 +572,6 @@ class AddressSpace:
     @property
     def total_bytes(self) -> int:
         return self.total_pages * PAGE_SIZE
-
-    def iter_pages(self) -> Iterator[int]:
-        for area in self.vmas:
-            yield from area.pages()
 
     def content_snapshot(self) -> dict[int, int]:
         """vpn -> version for every mapped page (test/restore helper)."""

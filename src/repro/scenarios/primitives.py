@@ -30,7 +30,7 @@ shape the per-zone *weights* w(z, t); ``DependencyChain`` post-processes the wei
 ``BackgroundCycle`` puts unmanaged periodic demand on each node;
 ``ConnectionMix`` turns population deltas into join/leave churn; and
 ``HotSet`` is the memory workload each zone-server process runs (the
-same primitive :func:`repro.testing.start_dirtier` is built on).
+pattern :func:`repro.scenarios.workload.start_dirtier` drives).
 """
 
 from __future__ import annotations
@@ -427,8 +427,7 @@ class HotSet:
 
     This is the reusable form of the dirtier loops the mode benches and
     tests previously duplicated — :func:`repro.scenarios.workload.
-    start_dirtier` turns it into a live, fault-aware DES workload, and
-    :func:`repro.testing.start_dirtier` is a thin veneer over it.
+    start_dirtier` turns it into a live, fault-aware DES workload.
     """
 
     pages: int = 40

@@ -4,9 +4,8 @@ The mode benches, fault tests and the scenario driver all need the same
 thing: a process that keeps re-dirtying a working set while behaving
 like a real application under migration — pausing while frozen,
 blocking on post-copy demand fetches, stretching its tick while
-auto-convergence throttles it.  This module is that loop, promoted out
-of ``repro.testing`` so benches and tests stop duplicating dirtier
-loops; :func:`repro.testing.start_dirtier` remains as a thin veneer.
+auto-convergence throttles it.  This module is that loop, shared so
+benches and tests do not duplicate dirtier loops.
 
 The touch pattern itself is the pure :class:`~repro.scenarios.
 primitives.HotSet` primitive, so scenario specs can carry it in the DSL

@@ -26,7 +26,3 @@ class DstCacheEntry:
 
     ip: IPAddr
     entry_id: int = field(default_factory=lambda: next(_dst_ids))
-
-    def clone_for(self, new_ip: IPAddr) -> "DstCacheEntry":
-        """An accurate replacement entry pointing at the new destination."""
-        return DstCacheEntry(ip=new_ip)

@@ -19,39 +19,12 @@ __all__ = [
     "establish_clients",
     "connect_local_tcp",
     "run_for",
-    "start_dirtier",
 ]
 
 
 def run_for(cluster: Cluster, duration: float) -> None:
     """Advance the simulation by ``duration`` seconds."""
     cluster.env.run(until=cluster.env.now + duration)
-
-
-def start_dirtier(
-    cluster: Cluster,
-    proc: SimProcess,
-    area,
-    count: int,
-    interval: float = 0.05,
-    offset: int = 0,
-) -> dict:
-    """Spawn a write-hot workload: every ``interval``, write ``count``
-    pages of ``area`` through the fault-aware
-    :meth:`~repro.oskern.task.SimProcess.touch_range` path.
-
-    Thin veneer over :func:`repro.scenarios.workload.start_dirtier`
-    (where the loop lives as the reusable :class:`~repro.scenarios.
-    primitives.HotSet` workload primitive); kept here so tests and
-    benches keep their one-import fixture.  Returns the live stats dict
-    with ``ticks``, ``faulted`` and ``errors``.
-    """
-    from .scenarios.workload import HotSet
-    from .scenarios.workload import start_dirtier as _start
-
-    return _start(
-        cluster.env, proc, area, HotSet(pages=count, interval=interval, offset=offset)
-    )
 
 
 def accept_all(cluster: Cluster, listener: TCPSocket, out: list) -> None:

@@ -12,7 +12,8 @@ from repro.core import (
 )
 from repro.faults import install_faults, parse_plan
 from repro.oskern import PAGE_SIZE, RpcError
-from repro.testing import run_for, start_dirtier
+from repro.scenarios.workload import HotSet, start_dirtier
+from repro.testing import run_for
 
 from .conftest import make_server_proc
 
@@ -71,7 +72,9 @@ class TestPostcopy:
         node, proc, area = make_proc_with_area(cluster, npages=2048)
         # Touch the *end* of the area so the address-ordered push queue
         # reaches those pages last — the workload must fault.
-        stats = start_dirtier(cluster, proc, area, count=8, interval=0.002, offset=2000)
+        stats = start_dirtier(
+            cluster.env, proc, area, HotSet(pages=8, interval=0.002, offset=2000)
+        )
         run_for(cluster, 0.1)
         dest = cluster.nodes[1]
         mig = migrate_process(node, dest, proc, LiveMigrationConfig(mode="postcopy"))
@@ -129,7 +132,7 @@ class TestHybrid:
     def test_hybrid_runs_warmup_then_switches(self, two_nodes):
         cluster = two_nodes
         node, proc, area = make_proc_with_area(cluster, npages=1024)
-        stats = start_dirtier(cluster, proc, area, count=32, interval=0.005)
+        stats = start_dirtier(cluster.env, proc, area, HotSet(pages=32, interval=0.005))
         run_for(cluster, 0.1)
         dest = cluster.nodes[1]
         mig = migrate_process(
@@ -183,7 +186,7 @@ class TestCompression:
         version map instead of full copies."""
         cluster = two_nodes
         node, proc, area = make_proc_with_area(cluster, npages=512)
-        stats = start_dirtier(cluster, proc, area, count=64, interval=0.005)
+        stats = start_dirtier(cluster.env, proc, area, HotSet(pages=64, interval=0.005))
         run_for(cluster, 0.2)
         dest = cluster.nodes[1]
         engine = LiveMigrationEngine(
@@ -219,7 +222,7 @@ class TestAutoConvergence:
         # The workload re-dirties the whole working set faster than any
         # round can ship it: the residual set never shrinks, so the
         # precopy loop cannot converge without throttling.
-        stats = start_dirtier(cluster, proc, area, count=4096, interval=0.02)
+        stats = start_dirtier(cluster.env, proc, area, HotSet(pages=4096, interval=0.02))
         run_for(cluster, 0.1)
         cfg = LiveMigrationConfig(
             timeout_decay=1.0,  # rounds never shrink: max_rounds bounds the loop

@@ -165,7 +165,6 @@ class TestDeferredActions:
         cluster, conductors = build(trace=True)
         planner = conductors[0].planner
         planner.strategy = DeferredStrategy(delay, revalidate_ok)
-        planner.trace_plans = True
         return cluster, conductors, planner
 
     def test_deferred_action_executes_when_due(self):
@@ -228,7 +227,6 @@ class TestAdmissionRace:
         cluster, conductors = build(trace=True)
         planner = conductors[0].planner
         planner.strategy = MultiActionStrategy()
-        planner.trace_plans = True
         overload_node1(cluster, conductors)
         run_for(cluster, 12.0)
         # First action executes and its calm-down exhausts the capacity;

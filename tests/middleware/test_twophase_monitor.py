@@ -1,17 +1,19 @@
-"""Unit tests for the migration slot (2PC + calm-down) and LoadMonitor."""
+"""Unit tests for migration admission (2PC + calm-down) and LoadMonitor."""
 
 import pytest
 
 from repro.cluster import build_cluster
 from repro.des import Environment
-from repro.middleware import LoadMonitor, MigrationAdmission, MigrationSlot
+from repro.middleware import LoadMonitor, MigrationAdmission
 from repro.testing import run_for
 
 
-class TestMigrationSlot:
+class TestCapacityOneAdmission:
+    """The paper's single busy-or-calming slot: capacity 1."""
+
     def test_reserve_release_cycle(self):
         env = Environment()
-        slot = MigrationSlot(env, calm_down=10)
+        slot = MigrationAdmission(env, capacity=1, calm_down=10)
         assert slot.try_reserve("node1")
         assert slot.busy
         assert not slot.try_reserve("node2")  # one migration at a time
@@ -20,7 +22,7 @@ class TestMigrationSlot:
 
     def test_calm_down_blocks_new_reservations(self):
         env = Environment()
-        slot = MigrationSlot(env, calm_down=10)
+        slot = MigrationAdmission(env, capacity=1, calm_down=10)
         slot.try_reserve("node1")
         slot.release("node1", start_calm_down=True)
         assert slot.calming
@@ -32,7 +34,7 @@ class TestMigrationSlot:
 
     def test_abort_release_skips_calm_down(self):
         env = Environment()
-        slot = MigrationSlot(env, calm_down=10)
+        slot = MigrationAdmission(env, capacity=1, calm_down=10)
         slot.try_reserve("node1")
         slot.release("node1", start_calm_down=False)
         assert not slot.calming
@@ -40,25 +42,25 @@ class TestMigrationSlot:
 
     def test_release_by_wrong_owner_rejected(self):
         env = Environment()
-        slot = MigrationSlot(env)
+        slot = MigrationAdmission(env, capacity=1)
         slot.try_reserve("node1")
         with pytest.raises(RuntimeError):
             slot.release("node2")
 
     def test_sender_side_calm_down(self):
         env = Environment()
-        slot = MigrationSlot(env, calm_down=5)
+        slot = MigrationAdmission(env, capacity=1, calm_down=5)
         slot.start_calm_down()
         assert slot.calming
 
     def test_negative_calm_down_rejected(self):
         with pytest.raises(ValueError):
-            MigrationSlot(Environment(), calm_down=-1)
+            MigrationAdmission(Environment(), capacity=1, calm_down=-1)
 
     def test_slot_is_capacity_one_admission(self):
-        slot = MigrationSlot(Environment())
-        assert isinstance(slot, MigrationAdmission)
+        slot = MigrationAdmission(Environment())
         assert slot.capacity == 1
+        assert slot.calm_down == 10.0
 
 
 class TestMigrationAdmission:

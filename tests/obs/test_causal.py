@@ -1,11 +1,9 @@
 """The causal trace graph and the critical-path analyzer.
 
-Two invariants anchor everything here: (1) causal annotation is strictly
-opt-in — a default (non-causal) tracer produces records without any
-causal keys and identical event sequencing, so same-seed traces stay
-byte-compatible with earlier revisions; (2) the downtime critical path
-is an exhaustive partition — its segment durations sum to exactly the
-measured downtime, on causal and non-causal traces alike.
+Two invariants anchor everything here: (1) the protocol's cause → effect
+handoffs are explicit ``caused_by`` annotations in every trace, across
+nodes included; (2) the downtime critical path is an exhaustive
+partition — its segment durations sum to exactly the measured downtime.
 """
 
 import pytest
@@ -19,51 +17,39 @@ from repro.obs import (
     migration_slices,
     render_critical_path,
     total_critical_path,
-    trace_to_jsonl,
 )
-from repro.testing import establish_clients, run_for, start_dirtier
+from repro.scenarios.workload import HotSet, start_dirtier
+from repro.testing import run_for
 
 from .test_trace_migration import traced_migration
 
+#: The protocol's cause → effect handoffs: (cause record, effect record).
+PROTOCOL_PAIRS = (
+    ("mig.precopy.round", "migd.stage"),
+    ("mig.freeze.transfer", "migd.restore"),
+    ("migd.restore", "migd.thaw"),
+    ("pagefaultd.fault", "migd.postcopy.serve"),
+)
 
-def causal_migration(cluster, strategy="incremental-collective"):
-    tracer = cluster.env.enable_tracing(causal=True)
+
+def mode_migration(cluster, mode, hotset):
+    """A traced migration in ``mode`` of a process re-dirtying ``hotset``
+    (which keeps faulting after a post-copy thaw)."""
+    tracer = cluster.env.enable_tracing()
     node = cluster.nodes[0]
     proc = node.kernel.spawn_process("zone_serv0")
-    proc.address_space.mmap(64, tag="heap")
-    establish_clients(cluster, node, proc, 27960, 4)
-    run_for(cluster, 0.2)
-    ev = migrate_process(
-        node, cluster.nodes[1], proc, LiveMigrationConfig(strategy=strategy)
-    )
+    area = proc.address_space.mmap(2048, tag="heap")
+    stats = start_dirtier(cluster.env, proc, area, hotset)
+    run_for(cluster, 0.1)
+    ev = migrate_process(node, cluster.nodes[1], proc, LiveMigrationConfig(mode=mode))
     report = cluster.env.run(until=ev)
-    return tracer, report
+    run_for(cluster, 0.5)
+    return tracer, report, stats
 
 
 class TestCausalOptIn:
-    def test_default_trace_has_no_causal_keys(self, two_nodes):
-        tracer, report = traced_migration(two_nodes, "incremental-collective")
-        assert report.success
-        text = trace_to_jsonl(tracer)
-        for key in ('"parent"', '"caused_by"', '"ref"', '"cause"'):
-            assert key not in text
-
-    def test_causal_trace_annotates_without_resequencing(self, two_nodes):
-        """Causal mode adds edges; it must not change what happens when
-        (same seed, same event names at the same simulated times)."""
-        from repro.cluster import build_cluster
-
-        plain, _ = traced_migration(two_nodes, "incremental-collective")
-        causal, report = causal_migration(build_cluster(n_nodes=2, with_db=False))
-        assert report.success
-        assert [(e.time, e.name, e.kind) for e in plain.events] == [
-            (e.time, e.name, e.kind) for e in causal.events
-        ]
-        assert any(e.caused_by is not None for e in causal.events)
-        assert any(e.parent is not None for e in causal.events)
-
     def test_session_transitions_chain_back_to_mig_start(self, two_nodes):
-        causal, _ = causal_migration(two_nodes)
+        causal, _ = traced_migration(two_nodes, "incremental-collective")
         graph = build_causal_graph(causal.events)
         (complete,) = [n for n in graph.nodes.values() if n.name == "mig.complete"]
         chain = graph.chain(complete.cid)
@@ -72,7 +58,7 @@ class TestCausalOptIn:
         assert any(n.name == "session.state" for n in chain)
 
     def test_cross_node_effects_carry_causes(self, two_nodes):
-        causal, _ = causal_migration(two_nodes)
+        causal, _ = traced_migration(two_nodes, "incremental-collective")
         stages = [e for e in causal.events if e.name == "migd.stage"]
         assert stages and all(e.caused_by is not None for e in stages)
         (restore,) = [
@@ -84,22 +70,33 @@ class TestCausalOptIn:
 
 
 class TestCausalGraph:
-    def test_inferred_edges_on_default_trace(self, two_nodes):
-        """Default traces carry no annotations, but the protocol's shape
-        still yields the freeze-transfer → restore handoff."""
-        tracer, _ = traced_migration(two_nodes, "incremental-collective")
+    @pytest.mark.parametrize(
+        "mode, pairs",
+        [
+            ("precopy", PROTOCOL_PAIRS[:3]),
+            ("postcopy", PROTOCOL_PAIRS[1:]),
+            ("hybrid", PROTOCOL_PAIRS),
+        ],
+        ids=["precopy", "postcopy", "hybrid"],
+    )
+    def test_protocol_pairs_have_explicit_edges(self, two_nodes, mode, pairs):
+        """Every effect record of each protocol pair the mode exercises
+        has an explicit ``caused_by`` edge from its cause record."""
+        tracer, report, _ = mode_migration(
+            two_nodes, mode, HotSet(pages=64, interval=0.002, offset=1900)
+        )
+        assert report.success
         graph = build_causal_graph(tracer.events)
-        pairs = {
-            (graph.nodes[e.src].name, graph.nodes[e.dst].name)
-            for e in graph.edges
-            if e.kind == "inferred"
-        }
-        assert ("mig.freeze.transfer", "migd.restore") in pairs
-        assert ("migd.restore", "migd.thaw") in pairs
-        assert ("mig.precopy.round", "migd.stage") in pairs
+        assert {e.kind for e in graph.edges} == {"caused_by", "parent"}
+        for src_name, dst_name in pairs:
+            effects = [n for n in graph.nodes.values() if n.name == dst_name]
+            assert effects, f"{mode}: no {dst_name} records"
+            for eff in effects:
+                causes = {c.name for c in graph.causes_of(eff.cid)}
+                assert src_name in causes, (mode, dst_name, causes)
 
     def test_effects_and_causes_navigation(self, two_nodes):
-        causal, _ = causal_migration(two_nodes)
+        causal, _ = traced_migration(two_nodes, "incremental-collective")
         graph = build_causal_graph(causal.events)
         (start,) = [n for n in graph.nodes.values() if n.name == "mig.start"]
         effects = graph.effects_of(start.cid)
@@ -195,20 +192,9 @@ class TestTotalPathAndDegradation:
         assert "precopy" in labels and "freeze" in labels
 
     def test_degradation_includes_postcopy_fault_wait(self, two_nodes):
-        cluster = two_nodes
-        tracer = cluster.env.enable_tracing()
-        node = cluster.nodes[0]
-        proc = node.kernel.spawn_process("zone_serv0")
-        area = proc.address_space.mmap(2048, tag="heap")
-        stats = start_dirtier(
-            cluster, proc, area, count=8, interval=0.002, offset=2000
+        tracer, report, stats = mode_migration(
+            two_nodes, "postcopy", HotSet(pages=8, interval=0.002, offset=2000)
         )
-        run_for(cluster, 0.1)
-        ev = migrate_process(
-            node, cluster.nodes[1], proc, LiveMigrationConfig(mode="postcopy")
-        )
-        report = cluster.env.run(until=ev)
-        run_for(cluster, 0.5)
         assert report.success and stats["faulted"] >= 1
         (sl,) = migration_slices(tracer.events)
         degr = degradation_breakdown(sl)

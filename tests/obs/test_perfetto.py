@@ -11,8 +11,9 @@ import json
 
 from repro.obs import migration_slices, to_chrome_trace, write_chrome_trace
 from repro.obs.perfetto import event_node
+from repro.scenarios.workload import HotSet
 
-from .test_causal import causal_migration
+from .test_causal import mode_migration
 from .test_trace_migration import traced_migration
 
 _REQUIRED = {"ph", "pid", "tid", "name"}
@@ -56,13 +57,17 @@ class TestExport:
         tracer, _ = traced_migration(two_nodes, "incremental-collective")
         doc = validate_chrome_trace(to_chrome_trace(tracer.events))
         phases = {e["ph"] for e in doc["traceEvents"]}
-        # Metadata, instants, spans — and flows even without causal
-        # annotations (structural inference).
+        # Metadata, instants, spans — and flows from the caused_by edges.
         assert {"M", "i", "B", "E", "s", "f"} <= phases
 
     def test_causal_trace_valid(self, two_nodes):
-        tracer, _ = causal_migration(two_nodes)
-        validate_chrome_trace(to_chrome_trace(tracer.events))
+        """A hybrid migration's trace carries every protocol handoff,
+        post-copy fault → serve included."""
+        tracer, _, _ = mode_migration(
+            two_nodes, "hybrid", HotSet(pages=64, interval=0.002, offset=1900)
+        )
+        doc = validate_chrome_trace(to_chrome_trace(tracer.events))
+        assert {"s", "f"} <= {e["ph"] for e in doc["traceEvents"]}
 
     def test_one_process_row_per_node(self, two_nodes):
         tracer, _ = traced_migration(two_nodes, "collective")

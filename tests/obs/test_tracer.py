@@ -143,24 +143,24 @@ class TestRingBuffer:
             tr.event("tick", n=i)
         assert env.metrics.snapshot()["obs.dropped_events"] == 3
 
+    def test_end_named_after_begin_evicted(self, env):
+        tr = env.enable_tracing(max_events=2)
+        sid = tr.begin("mig.freeze")
+        tr.event("x")
+        tr.event("y")
+        tr.end(sid)
+        (end,) = [e for e in tr.events if e.kind == "end"]
+        assert end.to_dict() == {
+            "t": 0.0,
+            "name": "mig.freeze",
+            "kind": "end",
+            "span": sid,
+        }
+
 
 class TestCausalKwargs:
-    def test_non_causal_tracer_drops_annotations(self, env):
-        tr = env.enable_tracing()
-        assert tr.causal is False
-        ref = tr.event("a", ref=True)
-        assert ref == 0
-        sid = tr.begin("b", parent=5, caused_by=7)
-        tr.end(sid)
-        tr.event("c", parent=sid, caused_by=ref or None)
-        for ev in tr.events:
-            assert ev.parent is None
-            assert ev.caused_by is None
-            assert ev.ref is None
-
     def test_causal_tracer_records_annotations(self, env):
-        tr = env.enable_tracing(causal=True)
-        assert tr.causal is True
+        tr = env.enable_tracing()
         ref = tr.event("a", ref=True)
         assert ref > 0
         sid = tr.begin("b", caused_by=ref)
@@ -174,7 +174,7 @@ class TestCausalKwargs:
         assert span.caused_by == ref
 
     def test_causal_ids_share_one_namespace(self, env):
-        tr = env.enable_tracing(causal=True)
+        tr = env.enable_tracing()
         ref = tr.event("a", ref=True)
         sid = tr.begin("b")
         assert ref != sid
@@ -182,7 +182,7 @@ class TestCausalKwargs:
     def test_causal_annotations_round_trip_jsonl(self, env):
         from repro.obs import trace_to_jsonl
 
-        tr = env.enable_tracing(causal=True)
+        tr = env.enable_tracing()
         ref = tr.event("a", ref=True)
         sid = tr.begin("b", caused_by=ref)
         tr.end(sid)
@@ -194,6 +194,5 @@ class TestCausalKwargs:
             assert TraceEvent.from_dict(json.loads(line)) == orig
 
     def test_null_tracer_accepts_causal_kwargs(self):
-        assert NULL_TRACER.causal is False
         assert NULL_TRACER.event("x", ref=True, parent=1, caused_by=2) == 0
         assert NULL_TRACER.dropped_events == 0

@@ -208,9 +208,10 @@ def _random_workload(space, ref, seed, steps=120):
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_dump_runs_and_bytes_match_reference(seed):
-    """dirty_version_runs flattens to the oracle's dump, and the
-    serialized page-dump size derived from it matches the per-page
-    accounting blcr.checkpoint uses."""
+    """dirty_version_map (the production dump path) equals the oracle's
+    dump in ascending page order, and the serialized page-dump size
+    derived from it matches the per-page accounting blcr.checkpoint
+    uses."""
     from repro.blcr.checkpoint import PAGE_RECORD_OVERHEAD
     from repro.oskern import PAGE_SIZE
 
@@ -218,34 +219,25 @@ def test_dump_runs_and_bytes_match_reference(seed):
     ref = ReferenceSpace()
     _random_workload(space, ref, seed)
 
-    runs = space.dirty_version_runs()
-    flat = {}
-    for start, versions in runs:
-        # Runs are sorted, disjoint and non-empty.
-        assert len(versions) > 0
-        for i, version in enumerate(versions):
-            flat[start + i] = version
-    assert flat == {v: ref.versions[v] for v in ref.dirty}
-    assert [s for s, _ in runs] == sorted(s for s, _ in runs)
+    vmap = space.dirty_version_map()
+    assert vmap == {v: ref.versions[v] for v in ref.dirty}
+    assert list(vmap) == sorted(vmap)
 
-    npages = sum(len(v) for _, v in runs)
-    assert npages * (PAGE_SIZE + PAGE_RECORD_OVERHEAD) == len(ref.dirty) * (
+    assert len(vmap) * (PAGE_SIZE + PAGE_RECORD_OVERHEAD) == len(ref.dirty) * (
         PAGE_SIZE + PAGE_RECORD_OVERHEAD
     )
 
 
 def test_dump_snapshot_unaffected_by_post_dump_writes():
-    """The dump views are stable snapshots: writes landing after the
-    dump (the next precopy round dirtying pages mid-transfer) must not
-    alias into the already-materialized runs or map."""
+    """The dump is a stable snapshot: writes landing after the dump (the
+    next precopy round dirtying pages mid-transfer) must not alias into
+    the already-materialized map."""
     space = AddressSpace()
     area = space.mmap(64)
     space.clear_dirty()
     space.write_range(area, count=16, offset=8)
 
-    runs = space.dirty_version_runs()
     vmap = space.dirty_version_map()
-    frozen_runs = [(start, list(versions)) for start, versions in runs]
     frozen_map = dict(vmap)
 
     # Hammer the same pages (and new ones) after the dump.
@@ -253,7 +245,6 @@ def test_dump_snapshot_unaffected_by_post_dump_writes():
         space.write_range(area, count=32, offset=0)
     space.resize(area, 32)
 
-    assert [(s, list(v)) for s, v in runs] == frozen_runs
     assert vmap == frozen_map
     # And the *new* dump sees the post-dump writes.
     assert space.dirty_version_map() != frozen_map
