@@ -23,6 +23,7 @@ from repro.core import (
     migrate_with_retry,
 )
 from repro.faults import MIGD_PHASES, FaultPlan, MigdAbort, install_faults
+from repro.oskern import RpcError
 from repro.testing import establish_clients, run_for
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -31,8 +32,16 @@ CLIENTS = 1 if QUICK else 2
 BACKOFF = 0.2
 
 
-def one(phase, pages=None, clients=None):
-    """One migration, aborted at ``phase`` (None = fault-free baseline)."""
+def mode_for(phase):
+    """The migration mode a fault at ``phase`` runs under: only a
+    post-copy migration reaches the ``postcopy`` phase, so aborting it
+    under the default precopy mode would never fire."""
+    return "postcopy" if phase == "postcopy" else "precopy"
+
+
+def one(phase, pages=None, clients=None, mode="precopy"):
+    """One ``mode`` migration, aborted at ``phase`` (None = fault-free
+    baseline)."""
     pages = PAGES if pages is None else pages
     clients = CLIENTS if clients is None else clients
     cluster = build_cluster(n_nodes=3, with_db=False)
@@ -44,8 +53,12 @@ def one(phase, pages=None, clients=None):
 
     def dirtier():
         while True:
-            yield from proc.check_frozen()
-            proc.address_space.write_range(area, count=16)
+            # touch_range: blocks while frozen and demand-fetches pages
+            # a post-copy restore has not pulled over yet.
+            try:
+                yield from proc.touch_range(area, count=16)
+            except (RpcError, ValueError):
+                return  # a failed post-copy fetch: the pages are gone
             yield cluster.env.timeout(0.01)
 
     cluster.env.process(dirtier())
@@ -63,7 +76,7 @@ def one(phase, pages=None, clients=None):
                 source,
                 [d1, d2],
                 proc,
-                LiveMigrationConfig(rpc_timeout=1.0),
+                LiveMigrationConfig(mode=mode, rpc_timeout=1.0),
                 policy=RetryPolicy(backoff_base=BACKOFF),
             )
         )
@@ -73,19 +86,25 @@ def one(phase, pages=None, clients=None):
     assert proc.kernel is expected_dest.kernel
     return {
         "phase": phase or "(none)",
+        "mode": mode,
         "total_ms": (cluster.env.now - t0) * 1e3,
         "freeze_ms": report.freeze_time * 1e3,
     }
 
 
 def run():
-    rows = [one(None)]
-    baseline = rows[0]["total_ms"]
-    for phase in MIGD_PHASES:
-        row = one(phase)
-        row["overhead_ms"] = row["total_ms"] - baseline
+    """The fault-free baseline of each mode, then one aborted migration
+    per phase; overhead is measured against the baseline of its mode."""
+    baselines = {m: one(None, mode=m) for m in ("precopy", "postcopy")}
+    rows = []
+    for row in baselines.values():
+        row["overhead_ms"] = 0.0
         rows.append(row)
-    rows[0]["overhead_ms"] = 0.0
+    for phase in MIGD_PHASES:
+        mode = mode_for(phase)
+        row = one(phase, mode=mode)
+        row["overhead_ms"] = row["total_ms"] - baselines[mode]["total_ms"]
+        rows.append(row)
     return rows
 
 
@@ -95,15 +114,21 @@ def bench_result(quick: bool) -> dict:
 
     pages = 64 if quick else 256
     clients = 1 if quick else 2
-    baseline = one(None, pages=pages, clients=clients)
-    rows = [one(p, pages=pages, clients=clients) for p in MIGD_PHASES]
+    baselines = {
+        m: one(None, pages=pages, clients=clients, mode=m)
+        for m in ("precopy", "postcopy")
+    }
+    baseline = baselines["precopy"]
+    rows = [
+        one(p, pages=pages, clients=clients, mode=mode_for(p)) for p in MIGD_PHASES
+    ]
 
     hist = Histogram("recovered_total_ms")
     for r in rows:
         hist.observe(r["total_ms"])
 
     lower = {"unit": "ms", "direction": "lower"}
-    overhead = max(r["total_ms"] - baseline["total_ms"] for r in rows)
+    overhead = max(r["total_ms"] - baselines[r["mode"]]["total_ms"] for r in rows)
     metrics = {
         "baseline_total_ms": {"value": baseline["total_ms"], **lower},
         "recovered_total_max_ms": {
@@ -129,6 +154,7 @@ def bench_result(quick: bool) -> dict:
             "pages": pages,
             "clients": clients,
             "phases": list(MIGD_PHASES),
+            "modes": {p: mode_for(p) for p in MIGD_PHASES},
             "backoff_base": BACKOFF,
         },
         "metrics": metrics,
@@ -142,15 +168,15 @@ def test_ext_fault_recovery(once):
     print()
     print(
         render_table(
-            ["abort phase", "total (ms)", "overhead (ms)", "freeze (ms)"],
+            ["abort phase", "mode", "total (ms)", "overhead (ms)", "freeze (ms)"],
             [
-                (r["phase"], r["total_ms"], r["overhead_ms"], r["freeze_ms"])
+                (r["phase"], r["mode"], r["total_ms"], r["overhead_ms"], r["freeze_ms"])
                 for r in rows
             ],
             title="Extension: recovery cost by fault phase",
         )
     )
-    by_phase = {r["phase"]: r for r in rows}
+    by_phase = {r["phase"]: r for r in rows if r["phase"] != "(none)"}
     # Every faulted run recovered (asserted inside one()), and a fault
     # after the freeze wastes at least as much work as one before the
     # precopy started: overhead grows with how late the fault lands.

@@ -14,9 +14,11 @@ Two modes:
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Optional
 
 from ..oskern import AddressSpace, FDTable, RegularFile, SimProcess, Thread
+from ..oskern.memory import ExtentSet
 from ..oskern.task import ProcessState
 from .image import CheckpointImage
 
@@ -25,15 +27,6 @@ __all__ = ["restart_process", "apply_image_state", "RestartError"]
 
 class RestartError(RuntimeError):
     """The image cannot be restored on this kernel."""
-
-
-def _rebuild_address_space(
-    vmas: list,
-    pages: dict[int, int],
-) -> AddressSpace:
-    space = AddressSpace()
-    space.load_snapshot(vmas, pages)
-    return space
 
 
 def _rebuild_fdtable(file_records: list) -> FDTable:
@@ -81,26 +74,29 @@ def apply_image_state(
     vmas = image.section("memory_map").payload if image.has_section("memory_map") else staged_vmas
     if vmas is None:
         raise RestartError("no memory map available")
-    pages: dict[int, int] = dict(staged_pages or {})
-    if image.has_section("pages"):
-        pages.update(image.section("pages").payload)
-    # Discard pages for since-unmapped areas (free() during precopy).
-    mapped = set()
+    staged = staged_pages or {}
+    final = image.section("pages").payload if image.has_section("pages") else {}
+    # Every mapped page outside the absent extents must have arrived.
+    # Pages of since-unmapped areas (free() during precopy) are simply
+    # not read back, and absent pages start as version 0.
+    required = ExtentSet()
     for start, end, _perms, _tag in vmas:
-        mapped.update(range(start, end))
-    pages = {vpn: v for vpn, v in pages.items() if vpn in mapped}
-    absent: set[int] = set()
-    if absent_extents:
-        for start, end in absent_extents:
-            absent.update(range(start, end))
-        absent &= mapped
-    missing = mapped - set(pages) - absent
+        required.add(start, end)
+    for start, end in absent_extents or ():
+        required.remove(start, end)
+    missing = 0
+    for start, end in required.extents():
+        not_staged = filterfalse(staged.__contains__, range(start, end))
+        missing += len(list(filterfalse(final.__contains__, not_staged)))
     if missing:
-        raise RestartError(f"{len(missing)} mapped pages never transferred")
-    for vpn in absent:
-        pages.setdefault(vpn, 0)
+        raise RestartError(f"{missing} mapped pages never transferred")
 
-    proc.address_space = _rebuild_address_space(list(vmas), pages)
+    proc.address_space = AddressSpace()
+    # The final deltas win over the staged updates.
+    if staged:
+        proc.address_space.load_snapshot(list(vmas), staged, overlay=final)
+    else:
+        proc.address_space.load_snapshot(list(vmas), final)
     if absent_extents:
         proc.address_space.mark_absent(absent_extents)
     proc.fdtable = _rebuild_fdtable(image.section("files").payload)

@@ -72,10 +72,9 @@ class MigrationChannel:
         #: its config asks for one); ``None`` bypasses the stage
         #: entirely so default traffic is accounted exactly as before.
         self.compressor = None
-        #: Padding-chunk body, built once and re-sent for every chunk:
-        #: chunk payloads are opaque filler that nothing downstream
-        #: mutates, so a long stream is thousands of sends of one dict
-        #: instead of one allocation per chunk.
+        #: Padding-chunk body, built once: chunks are opaque filler that
+        #: nothing downstream reads, and they travel as a chunk train
+        #: unless the wire needs real packets (faults, taps).
         self._chunk_body: dict = {"op": "chunk"}
         if session is not None:
             self._chunk_body["session"] = session
@@ -92,21 +91,20 @@ class MigrationChannel:
 
     def _stream(self, body: dict, nbytes: int) -> int:
         """Tag ``body`` with the session id, emit the padding chunks
-        that occupy the FIFO link ahead of it, account the bytes, and
-        return the size of the final message that carries ``body``."""
+        that occupy the FIFO link ahead of it (one chunk train), account
+        the bytes, and return the size of the final message that carries
+        ``body``."""
         if self.session is not None:
             body.setdefault("session", self.session)
         chunk = self.costs.migration_chunk_bytes
-        remaining = max(nbytes, 1)
-        if remaining > chunk:
-            send = self.source.control.send
-            dest_ip = self.dest.local_ip
-            filler = self._chunk_body
-            while remaining > chunk:
-                send(dest_ip, MIGD_PORT, filler, size=chunk)
-                remaining -= chunk
-        self.bytes_sent += max(nbytes, 1)
-        return remaining
+        total = max(nbytes, 1)
+        count = (total - 1) // chunk
+        if count:
+            self.source.control.send_train(
+                self.dest.local_ip, MIGD_PORT, self._chunk_body, chunk, count
+            )
+        self.bytes_sent += total
+        return total - count * chunk
 
     def request(self, body: dict, nbytes: int) -> Event:
         """Send ``body`` accounted as ``nbytes`` on the wire; the event

@@ -124,6 +124,10 @@ def migrate_with_retry(
         if report.success:
             return report
         attempt += 1
+        if proc.kernel is not source.kernel:
+            # No rollback (a failed post-copy leaves execution on the
+            # destination): there is nothing left to retry from here.
+            break
     if tr.enabled and report is not None:
         tr.event(
             "recover.giveup",

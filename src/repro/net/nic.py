@@ -7,11 +7,13 @@ interface with a per-node cluster address on the switch.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Optional
 
 from .addr import IPAddr
-from .link import Link
+from .link import ChunkTrain, Link
 from .packet import Packet
+from .switch import Switch
 
 __all__ = ["Interface", "PUBLIC", "LOCAL"]
 
@@ -35,10 +37,13 @@ class Interface:
         #: node, see :mod:`repro.faults`) silently drops traffic both
         #: ways, like a machine whose NIC stopped answering.
         self.up = True
-        self.rx_packets = 0
+        self._rx_packets = 0
         self.tx_packets = 0
-        self.rx_bytes = 0
+        self._rx_bytes = 0
         self.tx_bytes = 0
+        #: Chunk trains bound for this interface whose chunks have not
+        #: all been counted as received (see :meth:`_settle_rx`).
+        self._rx_trains: list[ChunkTrain] = []
         self.tx_dropped = 0
         self.rx_dropped = 0
 
@@ -48,7 +53,7 @@ class Interface:
             raise RuntimeError(f"{self.name} already connected")
         self._link = link
         self._side = side
-        link.attach(side, self._deliver)
+        link.attach(side, self._deliver, owner=self)
 
     @property
     def connected(self) -> bool:
@@ -67,6 +72,72 @@ class Interface:
     def set_rx_handler(self, handler: Callable[[Packet, "Interface"], None]) -> None:
         self._rx_handler = handler
 
+    @property
+    def rx_packets(self) -> int:
+        """Packets received so far, chunk-train chunks included."""
+        if self._rx_trains:
+            self._settle_rx()
+        return self._rx_packets
+
+    @property
+    def rx_bytes(self) -> int:
+        """Bytes received so far, chunk-train chunks included."""
+        if self._rx_trains:
+            self._settle_rx()
+        return self._rx_bytes
+
+    def _settle_rx(self) -> None:
+        """Count the train chunks delivered strictly before now."""
+        link = self._link
+        now = link.env._now
+        if link._trains:
+            link._settle(now, -1)
+        pending = []
+        for train in self._rx_trains:
+            arrivals = train.arrivals
+            self._receive(train, bisect_left(arrivals, now, train.delivered))
+            if train.left or train.delivered < len(arrivals):
+                pending.append(train)
+        self._rx_trains = pending
+
+    def _train_delivered(self, train: ChunkTrain) -> None:
+        """The last chunk of ``train`` arrives: all of it is received."""
+        self._receive(train, len(train.arrivals))
+        self._rx_trains.remove(train)
+
+    def _receive(self, train: ChunkTrain, upto: int) -> None:
+        """Count ``train``'s chunks up to index ``upto`` as received."""
+        n = upto - train.delivered
+        self._rx_packets += n
+        self._rx_bytes += n * train.size
+        train.delivered = upto
+
+    def transmit_train(self, count: int, size: int, dst: IPAddr) -> bool:
+        """Send ``count`` padding chunks of ``size`` wire bytes to ``dst``
+        as one :class:`~.link.ChunkTrain`.
+
+        Returns ``False``, having done nothing, when the chunks must go
+        as packets instead: this interface does not face a switch, or a
+        link on the way has a tap or a fault filter (see
+        :meth:`~.switch.Switch.train_egress`).
+        """
+        link = self._link
+        if link is None:
+            raise RuntimeError(f"{self.name} is not connected")
+        if not self.up:
+            self.tx_dropped += count
+            return True
+        switch = link.owner(1 - self._side)
+        if not isinstance(switch, Switch) or not link.trains_ok:
+            return False
+        egress = switch.train_egress(dst)
+        if egress is None:
+            return False
+        self.tx_packets += count
+        self.tx_bytes += count * size
+        link.send_train(count, size, self._side, egress)
+        return True
+
     def transmit(self, packet: Packet) -> float:
         """Send a packet out this interface; returns delivery time."""
         if self._link is None:
@@ -84,8 +155,8 @@ class Interface:
             # packets that were already on the wire.
             self.rx_dropped += 1
             return
-        self.rx_packets += 1
-        self.rx_bytes += packet.size
+        self._rx_packets += 1
+        self._rx_bytes += packet.size
         if self._rx_handler is not None:
             self._rx_handler(packet, self)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import struct
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -26,6 +27,7 @@ __all__ = [
     "IP_HEADER_BYTES",
     "TCP_HEADER_BYTES",
     "UDP_HEADER_BYTES",
+    "reserve_packet_ids",
 ]
 
 IP_HEADER_BYTES = 20
@@ -96,6 +98,11 @@ class Packet:
     #: the protocol or payload size, and the link layer reads this on
     #: every transmit.
     size: int = field(init=False, repr=False, compare=False, default=0)
+    #: Event id of the delivery the last link scheduled for this packet
+    #: (set by :meth:`repro.net.link.Link.send`).  A switch forwarding it
+    #: uses it to order the packet against chunk trains that reach the
+    #: switch at the same instant, exactly as the event heap would.
+    wire_seq: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.proto == PROTO_TCP:
@@ -170,6 +177,12 @@ class Packet:
         if self.tcp is not None:
             base += f" seq={self.tcp.seq} ack={self.tcp.ack} [{self.tcp.flags}]"
         return base
+
+
+def reserve_packet_ids(count: int) -> None:
+    """Advance the packet-id counter past ``count`` packets that are
+    accounted for without being built (a chunk train's padding)."""
+    deque(itertools.islice(_packet_ids, count), maxlen=0)
 
 
 _PROTO_IDS = {PROTO_TCP: 6, PROTO_UDP: 17, PROTO_CTL: 253}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..des import Environment
-from ..net import Interface, IPAddr
+from ..net import Interface, IPAddr, PROTO_CTL
 from .costs import CostModel
 from .jiffies import JiffiesClock
 from .netfilter import NetfilterHooks
@@ -75,8 +75,6 @@ class Kernel:
         self._route_cache.clear()
 
     def _rx(self, packet, iface: Interface) -> None:
-        from ..net import PROTO_CTL
-
         if packet.proto == PROTO_CTL:
             if self.control is not None:
                 self.control.dispatch(packet)

@@ -592,8 +592,12 @@ class AddressSpace:
         self,
         vmas: list[tuple[int, int, str, str]],
         versions: dict[int, int],
+        overlay: Optional[dict[int, int]] = None,
     ) -> None:
-        """Rebuild this (empty) space from checkpointed state."""
+        """Rebuild this (empty) space from checkpointed state: page
+        versions from ``versions``, then ``overlay`` (newer deltas) laid
+        over them without merging the two into a copy.  Versions of
+        pages outside ``vmas`` are ignored."""
         if self.vmas:
             raise RuntimeError("load_snapshot requires an empty address space")
         for start, end, perms, tag in vmas:
@@ -613,6 +617,12 @@ class AddressSpace:
                 }
             else:
                 store = array("Q", (get(vpn, 0) for vpn in area.pages()))
+            for vpn, ver in (overlay or {}).items():
+                if area.start <= vpn < area.end:
+                    if ver or not isinstance(store, dict):
+                        store[vpn - area.start] = ver
+                    else:
+                        store.pop(vpn - area.start, None)
             self._stores[area.vma_id] = store
         self._pending = {}
         self._dirty = ExtentSet()

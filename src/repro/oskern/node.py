@@ -17,7 +17,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..des import Environment, Event
-from ..net import Interface, IPAddr, LOCAL, PROTO_CTL, PUBLIC, Packet
+from ..net import (
+    IP_HEADER_BYTES,
+    Interface,
+    IPAddr,
+    LOCAL,
+    PROTO_CTL,
+    PUBLIC,
+    Packet,
+    UDP_HEADER_BYTES,
+)
+from ..net.packet import reserve_packet_ids
 from .costs import CostModel
 from .kernel import Kernel
 
@@ -81,6 +91,30 @@ class ControlPlane:
         """Fire-and-forget message."""
         env = CtlEnvelope(body=body, src_ip=self._src_ip(dst_ip))
         self._transmit(dst_ip, port, env, size)
+
+    def send_train(self, dst_ip: IPAddr, port: int, body: Any, size: int, count: int) -> None:
+        """``count`` back-to-back copies of the one-way message ``body``
+        for a destination that ignores them (bulk padding).
+
+        They cross the wire as one chunk train (see
+        :class:`repro.net.link.ChunkTrain`): the same link time,
+        counters and packet ids as ``count`` :meth:`send` calls, without
+        a packet per copy.  Only an armed fault plane, or a tap on either
+        hop, needs the real packets, and then gets them.
+        """
+        if count <= 0:
+            return
+        # Packet.size of each copy, as _transmit would frame it.
+        wire = (
+            IP_HEADER_BYTES + UDP_HEADER_BYTES + max(size, 1)
+            + self.kernel.costs.ctl_overhead_bytes
+        )
+        iface = self.kernel.route(dst_ip)
+        if self.env.faults is None and iface.transmit_train(count, wire, dst_ip):
+            reserve_packet_ids(count)
+            return
+        for _ in range(count):
+            self.send(dst_ip, port, body, size=size)
 
     def rpc(
         self,

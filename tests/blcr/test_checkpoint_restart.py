@@ -169,3 +169,66 @@ class TestRestart:
             embryo.address_space.content_snapshot()
             == proc.address_space.content_snapshot()
         )
+
+    @pytest.mark.parametrize(
+        "drop, absent",
+        [
+            ([], None),
+            ([0, 5, 20], None),
+            ([3, 4, 20], [(2, 6)]),
+            ([3, 4], [(2, 6), (28, 40)]),
+        ],
+        ids=["complete", "missing", "absent-and-missing", "absent-covers-missing"],
+    )
+    def test_completeness_check_matches_set_reference(self, cluster, drop, absent):
+        """The range-walk completeness check counts exactly the mapped,
+        non-absent pages that never arrived, ignores staged pages of
+        unmapped areas, and restores absent pages as version 0 — the
+        same as building the page sets would."""
+        from repro.blcr import apply_image_state
+        from repro.oskern import SimProcess
+        from repro.oskern.task import ProcessState
+
+        src, dst = cluster.nodes[0].kernel, cluster.nodes[1].kernel
+        proc = make_process(src, npages=16)
+        second = proc.address_space.mmap(16, tag="heap2")
+        proc.address_space.write_range(second, count=5)
+        base = checkpoint_process(proc)
+        proc.address_space.write_range(proc.address_space.vmas[0], count=2, offset=10)
+        delta = checkpoint_process(proc, dirty_only=True)
+
+        vmas = base.section("memory_map").payload
+        mapped = [vpn for start, end, _p, _t in vmas for vpn in range(start, end)]
+        staged = dict(base.section("pages").payload)
+        for i in drop:
+            staged.pop(mapped[i], None)
+        staged[mapped[-1] + 100] = 7  # a page of a since-unmapped area
+        extents = None
+        if absent is not None:
+            extents = [(mapped[0] + lo, mapped[0] + hi) for lo, hi in absent]
+
+        # Reference: the set arithmetic the check replaced.
+        pages = {**staged, **delta.section("pages").payload}
+        absent_set = {v for lo, hi in extents or () for v in range(lo, hi)}
+        missing = set(mapped) - set(pages) - absent_set
+
+        embryo = SimProcess.__new__(SimProcess)
+        embryo.pid, embryo.name, embryo.kernel = proc.pid, proc.name, dst
+        embryo.state = ProcessState.RUNNING
+        embryo._thaw_event = None
+        embryo.cpu_demand = 0.0
+
+        def restore():
+            apply_image_state(
+                embryo, delta, staged_pages=staged, staged_vmas=vmas,
+                absent_extents=extents,
+            )
+
+        if missing:
+            with pytest.raises(RestartError, match=f"^{len(missing)} mapped pages never"):
+                restore()
+            return
+        restore()
+        assert embryo.address_space.content_snapshot() == {
+            vpn: pages.get(vpn, 0) for vpn in mapped
+        }

@@ -10,6 +10,7 @@ from repro.core import (
     MigrationChannel,
     install_migd,
 )
+from repro.net import IP_HEADER_BYTES, UDP_HEADER_BYTES
 from repro.oskern import CostModel, RpcError
 from repro.testing import establish_clients, run_for
 
@@ -57,43 +58,44 @@ class TestChannel:
         elapsed = done_at[0] - start
         assert 0.030 < elapsed < 0.045
 
-    @pytest.mark.parametrize("session", [None, "node1>node2#1"])
-    def test_bytes_sent_matches_wire_bytes_both_paths(self, pair, session):
-        """Channel accounting must equal the sizes actually handed to
-        the control plane, chunking included, for request() and send()."""
+    @pytest.mark.parametrize(
+        "session, per_packet",
+        [(None, False), ("node1>node2#1", False), (None, True), ("node1>node2#1", True)],
+        ids=["None", "node1>node2#1", "None-per-packet", "node1>node2#1-per-packet"],
+    )
+    def test_bytes_sent_matches_wire_bytes_both_paths(self, pair, session, per_packet):
+        """Channel accounting must equal what crossed the wire, chunking
+        included, for request() and send(): on the chunk-train path and
+        on the per-packet path that a tap on the uplink forces."""
         cluster, src, dst, daemon = pair
+        uplink = cluster.local_links[src.name]  # the host transmits from side 1
+        if per_packet:
+            uplink.add_tap(lambda t, p, side: None)
+        nic = dst.local_iface
         channel = MigrationChannel(src, dst, session=session)
-        wire = []
-        orig_send, orig_rpc = src.control.send, src.control.rpc
+        sent_before = (uplink.bytes_sent[1], uplink.packets_sent[1])
+        rx_before = (nic.rx_bytes, nic.rx_packets)
+        chunk = src.kernel.costs.migration_chunk_bytes
+        nbytes = 3 * chunk + 777  # forces 3 padding chunks + remainder
 
-        def spy_send(ip, port, body, size=256, **kw):
-            wire.append(size)
-            return orig_send(ip, port, body, size=size, **kw)
+        def go():
+            yield channel.request(
+                {"op": "begin", "pid": 1, "name": "p", "nthreads": 1}, nbytes
+            )
+            channel.send(
+                {"op": "round", "pid": 1, "pages": {1: 1}, "vmas": None,
+                 "socket_records": []},
+                nbytes,
+            )
 
-        def spy_rpc(ip, port, body, size=256, **kw):
-            wire.append(size)
-            return orig_rpc(ip, port, body, size=size, **kw)
-
-        src.control.send, src.control.rpc = spy_send, spy_rpc
-        try:
-            chunk = src.kernel.costs.migration_chunk_bytes
-            nbytes = 3 * chunk + 777  # forces 3 padding chunks + remainder
-
-            def go():
-                yield channel.request(
-                    {"op": "begin", "pid": 1, "name": "p", "nthreads": 1}, nbytes
-                )
-                channel.send(
-                    {"op": "round", "pid": 1, "pages": {1: 1}, "vmas": None,
-                     "socket_records": []},
-                    nbytes,
-                )
-
-            cluster.env.process(go())
-            run_for(cluster, 0.1)
-        finally:
-            src.control.send, src.control.rpc = orig_send, orig_rpc
-        assert sum(wire) == 2 * nbytes
+        cluster.env.process(go())
+        run_for(cluster, 0.1)
+        header = IP_HEADER_BYTES + UDP_HEADER_BYTES + src.kernel.costs.ctl_overhead_bytes
+        sent = (uplink.bytes_sent[1] - sent_before[0], uplink.packets_sent[1] - sent_before[1])
+        received = (nic.rx_bytes - rx_before[0], nic.rx_packets - rx_before[1])
+        # Two messages of 3 padding chunks + 1 final packet each.
+        assert sent[1] == received[1] == 2 * 4
+        assert sent[0] - 8 * header == received[0] - 8 * header == 2 * nbytes
         assert channel.bytes_sent == 2 * nbytes
 
     def test_one_way_send_is_fifo_before_request(self, pair):

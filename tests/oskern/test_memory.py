@@ -120,6 +120,27 @@ class TestSnapshot:
         assert dest.page_version(b.start) == 0
         assert dest.dirty_count() == 0  # restored pages are clean
 
+    @pytest.mark.parametrize("dense_limit", [None, 1], ids=["array", "dict"])
+    def test_overlay_wins_over_versions(self, space, monkeypatch, dense_limit):
+        """``overlay`` reads exactly like merging it over ``versions``
+        first, for both page-store kinds, and ignores unmapped pages."""
+        from repro.oskern import memory as memory_mod
+
+        if dense_limit is not None:
+            monkeypatch.setattr(memory_mod, "_DENSE_LIMIT_PAGES", dense_limit)
+        a = space.mmap(6)
+        vmas = [(v.start, v.end, v.perms, v.tag) for v in space.vmas]
+        versions = {a.start: 3, a.start + 1: 4, a.start + 2: 5}
+        overlay = {a.start + 1: 9, a.start + 2: 0, a.start + 4: 1, a.end + 50: 7}
+        merged = AddressSpace()
+        merged.load_snapshot(vmas, {**versions, **overlay})
+        layered = AddressSpace()
+        layered.load_snapshot(vmas, versions, overlay=overlay)
+        assert layered.content_snapshot() == merged.content_snapshot()
+        assert layered.page_version(a.start + 1) == 9
+        assert layered.page_version(a.start + 2) == 0
+        assert layered.dirty_count() == 0
+
     def test_load_snapshot_requires_empty(self, space):
         space.mmap(1)
         with pytest.raises(RuntimeError):
