@@ -143,10 +143,6 @@ class Environment:
             self._queue, (self._now + delay, NORMAL, self._eid, Deferred(fn, arg))
         )
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     def step(self) -> None:
         """Process the next event.  Raises :class:`EmptySchedule` if none."""
         try:

@@ -11,7 +11,7 @@ Only the primitives the rest of the system actually needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Any, Deque
 
 from .events import Event
 
@@ -48,14 +48,6 @@ class Store:
             self._putters.append((done, item))
         return done
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; False if the store is full."""
-        if len(self.items) >= self.capacity:
-            return False
-        self.items.append(item)
-        self._wake_getter()
-        return True
-
     def get(self) -> Event:
         """Return an event that succeeds with the next item."""
         ev = Event(self.env)
@@ -65,14 +57,6 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; None when empty."""
-        if not self.items:
-            return None
-        item = self.items.popleft()
-        self._wake_putter()
-        return item
 
     def _wake_getter(self) -> None:
         while self._getters and self.items:

@@ -119,8 +119,3 @@ class ClientPopulation:
         counts = np.zeros((self.grid.rows, self.grid.cols), dtype=int)
         np.add.at(counts, (rows, cols), 1)
         return counts
-
-    def count_in_zone(self, zone_id: int) -> int:
-        counts = self.zone_counts()
-        row, col = divmod(zone_id, self.grid.cols)
-        return int(counts[row, col])

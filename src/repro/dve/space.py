@@ -64,10 +64,3 @@ class ZoneGrid:
         (contiguous row bands, Figure 5a)."""
         rows_per_node = self.rows // self.n_nodes
         return zone.row // rows_per_node
-
-    def zones_of_node(self, node_index: int) -> list[Zone]:
-        return [z for z in self.zones if self.initial_node_of(z) == node_index]
-
-    @property
-    def zones_per_node(self) -> int:
-        return len(self.zones) // self.n_nodes

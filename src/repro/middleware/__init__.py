@@ -6,7 +6,8 @@ two-phase-commit admission on the receiver and calm-down periods after
 each migration.  Decisions flow through a pluggable strategy layer
 (:mod:`.strategy`): ClusterModel → Strategy → MigrationPlan → Planner →
 admission.  The default ``paper-threshold`` strategy is the paper's
-transfer / location / selection / information policy loop.
+transfer / location / selection / information policy loop; the
+``consolidate`` strategy adds power management on the same path.
 """
 
 from .conductor import (
@@ -16,12 +17,10 @@ from .conductor import (
     install_conductor,
 )
 from .conductor import MigrationEvent
-from .consolidation import ConsolidationConfig, Consolidator
 from .detector import ALIVE, DEAD, FailureDetector, PeerHealth, SUSPECT
 from .loadinfo import LoadInfo, PeerDatabase
 from .monitor import LoadMonitor
 from .policies import (
-    InformationPolicy,
     LargestProcessSelectionPolicy,
     LeastLoadedLocationPolicy,
     LocationPolicy,
@@ -34,6 +33,7 @@ from .strategy import (
     STRATEGIES,
     BalanceToAverageStrategy,
     ClusterModel,
+    ConsolidateStrategy,
     CycleAwareStrategy,
     MigrationAction,
     MigrationPlan,
@@ -57,15 +57,12 @@ __all__ = [
     "RandomLocationPolicy",
     "SelectionPolicy",
     "LargestProcessSelectionPolicy",
-    "InformationPolicy",
     "MigrationAdmission",
     "Conductor",
     "ConductorConfig",
     "MigrationEvent",
     "CONDUCTOR_PORT",
     "install_conductor",
-    "Consolidator",
-    "ConsolidationConfig",
     "NodeView",
     "ClusterModel",
     "MigrationAction",
@@ -74,6 +71,7 @@ __all__ = [
     "PaperThresholdStrategy",
     "BalanceToAverageStrategy",
     "CycleAwareStrategy",
+    "ConsolidateStrategy",
     "Planner",
     "STRATEGIES",
     "register_strategy",

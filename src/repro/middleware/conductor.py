@@ -15,6 +15,10 @@ says *whether*, selection policy says *which*, location policy says
 actual transfer is carried out by the migration daemon
 (:mod:`repro.core.migd`) through
 :class:`~repro.core.precopy.LiveMigrationEngine`.
+
+A conductor put to sleep by its strategy (``consolidate``) keeps
+planning and heartbeating, with ``asleep`` set in its heartbeats, and
+refuses every ``reserve``: a sleeping node is never a receiver.
 """
 
 from __future__ import annotations
@@ -34,13 +38,7 @@ from ..oskern.node import Host
 from .detector import FailureDetector
 from .loadinfo import LoadInfo, PeerDatabase
 from .monitor import LoadMonitor
-from .policies import (
-    InformationPolicy,
-    LocationPolicy,
-    PolicyConfig,
-    SelectionPolicy,
-    TransferPolicy,
-)
+from .policies import LocationPolicy, PolicyConfig, SelectionPolicy
 from .strategy import Planner, make_strategy
 from .twophase import MigrationAdmission
 
@@ -157,10 +155,8 @@ class Conductor:
         )
         #: Processes with an outbound session in flight (batch mode).
         self._outbound: set[SimProcess] = set()
-        self.transfer = TransferPolicy(cfg.policies)
-        self.location = cfg.location_policy or LocationPolicy(cfg.policies)
-        self.selection = cfg.selection_policy or SelectionPolicy(cfg.policies)
-        self.information = InformationPolicy(cfg.policies)
+        #: Powered down by the strategy's power action (``consolidate``).
+        self.asleep = False
 
         # The decision plane: a per-node seeded rng stream (master seed
         # combined with the node address — deterministic, unlike Python's
@@ -226,11 +222,6 @@ class Conductor:
         self.env.process(self._heartbeat_loop(), name=f"cond-heartbeat-{host.name}")
         self.env.process(self._balance_loop(), name=f"cond-balance-{host.name}")
 
-    @property
-    def slot(self) -> MigrationAdmission:
-        """Back-compat name for the admission (capacity 1 = the slot)."""
-        return self.admission
-
     # -- management ------------------------------------------------------------
     def manage(self, proc: SimProcess) -> None:
         if proc not in self.managed:
@@ -261,6 +252,7 @@ class Conductor:
             cpu_percent=self.monitor.current_load(),
             nprocs=len(self.managed),
             timestamp=self.env.now,
+            asleep=self.asleep,
         )
 
     # -- protocol handler ----------------------------------------------------------
@@ -276,7 +268,7 @@ class Conductor:
             self.peers.update(body["info"])
             self.detector.heard_from(body["info"].local_ip, body["info"].node_name)
         elif op == "reserve":
-            ok = self.admission.try_reserve(body["sender"])
+            ok = not self.asleep and self.admission.try_reserve(body["sender"])
             if not ok:
                 self.reserve_rejections += 1
             tr = self.env.tracer
@@ -347,7 +339,7 @@ class Conductor:
         )
         jitter = self.config.heartbeat_jitter
         while True:
-            period = self.information.interval
+            period = self.config.policies.heartbeat_interval
             if jitter:
                 period *= 1.0 + jitter * (2.0 * jitter_rng.random() - 1.0)
             yield self.env.timeout(period)

@@ -4,6 +4,8 @@ Each conductor maintains an approximation of the overall cluster load
 from the latest heartbeats (Section IV): the peer database stores the
 most recent :class:`LoadInfo` per node and computes the cluster-wide
 average that the transfer/location/selection policies reason about.
+Nodes put to sleep by the ``consolidate`` strategy keep heartbeating
+with ``asleep`` set; they count towards no average.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ class LoadInfo:
     cpu_percent: float
     nprocs: int
     timestamp: float
+    asleep: bool = False
 
     def age(self, now: float) -> float:
         """Seconds since this heartbeat was taken (0 for a fresh one)."""
@@ -110,7 +113,10 @@ class PeerDatabase:
         return self._peers.get(ip)
 
     def cluster_average(self, own_load: float) -> float:
-        """Approximated overall cluster load including this node."""
-        loads = [info.cpu_percent for info in self._peers.values()]
+        """Approximated overall cluster load including this node (awake
+        peers only)."""
+        loads = [
+            info.cpu_percent for info in self._peers.values() if not info.asleep
+        ]
         loads.append(own_load)
         return sum(loads) / len(loads)

@@ -10,7 +10,8 @@ Krueger/Singhal's taxonomy [17]).
   so both converge to the average after the migration.
 - *Selection policy*: pick the process whose CPU share best matches the
   local-load-minus-average difference.
-- *Information policy*: periodic broadcast of load heartbeats.
+- *Information policy*: periodic broadcast of load heartbeats — the
+  conductor's heartbeat loop, every ``PolicyConfig.heartbeat_interval``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "TransferPolicy",
     "LocationPolicy",
     "SelectionPolicy",
-    "InformationPolicy",
 ]
 
 
@@ -195,14 +195,3 @@ class LargestProcessSelectionPolicy(SelectionPolicy):
             return None
         proc, _share = max(eligible, key=lambda ps: ps[1])
         return proc
-
-
-class InformationPolicy:
-    """Periodic heartbeat broadcast (Section IV-D)."""
-
-    def __init__(self, config: PolicyConfig) -> None:
-        self.config = config
-
-    @property
-    def interval(self) -> float:
-        return self.config.heartbeat_interval

@@ -19,14 +19,16 @@ loop.  This module splits it into three replaceable layers:
   the future are parked and re-validated when due; actions racing
   admission exhaustion are dropped (and show up in the ``planner.*``
   counters / ``plan.*`` trace events rather than silently vanishing).
+  A plan may also carry a power action for the local node (``sleep`` /
+  ``wake``), which the planner applies, counts and traces.
 
-Three strategies ship in the registry:
+Four strategies ship in the registry:
 
 - ``paper-threshold`` — the paper's Section-IV loop, extracted verbatim
   from the old ``Conductor._balance_loop``.  With the default
-  ``ConductorConfig`` it reproduces the pre-refactor traces
-  byte-identically (same policy evaluation order, same rng draws, same
-  trace vocabulary — ``plan.*`` events stay off unless asked for).
+  ``ConductorConfig`` it makes the same decisions as that loop (same
+  policy evaluation order, same rng draws); like every strategy, its
+  rounds are traced as ``plan.*`` records.
 - ``workload-balance-to-average`` — move the *minimum set* of processes
   that brings this node within a band of the cluster mean; emits
   multi-action plans and spreads them over distinct receivers.
@@ -35,6 +37,10 @@ Three strategies ship in the registry:
   and defer non-urgent actions into the next forecast trough; deferred
   actions are re-validated at execution time, so triggers caused by a
   transient peak simply evaporate.
+- ``consolidate`` — power management (the paper's Section-VIII future
+  work): below a low-water mark the least-loaded node drains its
+  processes onto its peers and sleeps; load above a wake mark wakes a
+  sleeping node.  Otherwise it runs the paper's threshold rule.
 
 Authoring guide: docs/strategies.md.
 """
@@ -67,6 +73,7 @@ __all__ = [
     "PaperThresholdStrategy",
     "BalanceToAverageStrategy",
     "CycleAwareStrategy",
+    "ConsolidateStrategy",
     "Planner",
     "STRATEGIES",
     "register_strategy",
@@ -94,6 +101,8 @@ class NodeView:
     #: Failure-detector verdict: ``alive`` / ``suspect`` / ``dead``.
     health: str = ALIVE
     is_self: bool = False
+    #: Powered down by the ``consolidate`` strategy (heartbeats go on).
+    asleep: bool = False
 
     @property
     def usable(self) -> bool:
@@ -107,14 +116,15 @@ class ClusterModel:
     Built once per balance round by the :class:`Planner`.  ``peers`` /
     ``peer_infos`` contain only *rankable* peers — the staleness guard
     has already dropped entries whose heartbeat age exceeds the window
-    (they are listed in ``stale_peers`` for observability).  ``average``
-    is the paper's approximation over **all** known peers plus the local
-    node, exactly as the pre-refactor loop computed it.
+    (they are listed in ``stale_peers`` for observability), and sleeping
+    peers are never candidates (they are listed in ``asleep_peers``).
+    ``average`` is the paper's approximation over all known *awake*
+    peers plus the local node, as the pre-refactor loop computed it.
     """
 
     now: float
     local: NodeView
-    #: Rankable peers (fresh heartbeat), sorted by node name.
+    #: Rankable peers (fresh heartbeat, awake), sorted by node name.
     peers: list[NodeView]
     #: Heartbeats too old to rank (known but excluded by the guard).
     stale_peers: list[NodeView]
@@ -138,6 +148,8 @@ class ClusterModel:
     history: dict[str, Sequence[tuple[float, float]]] = dataclass_field(
         default_factory=dict
     )
+    #: Fresh peers that are asleep, sorted by node name.
+    asleep_peers: list[NodeView] = dataclass_field(default_factory=list)
 
     @property
     def overload(self) -> float:
@@ -179,11 +191,14 @@ class MigrationAction:
 
 @dataclass
 class MigrationPlan:
-    """A ranked batch of actions emitted by one strategy consultation."""
+    """A ranked batch of actions emitted by one strategy consultation,
+    plus an optional power action (``"sleep"`` / ``"wake"``) for the
+    local node."""
 
     strategy: str
     created_at: float
     actions: list[MigrationAction] = dataclass_field(default_factory=list)
+    power: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -573,6 +588,87 @@ class CycleAwareStrategy(Strategy):
         )
 
 
+class ConsolidateStrategy(Strategy):
+    """Power management by consolidation (the paper's Section-VIII
+    future work).
+
+    Consolidation is the trough side of cycle-aware orchestration:
+    when the cluster is quiet, pack the work onto fewer nodes and power
+    the rest down; when load returns, wake them and balance again.
+
+    - *Power mode* holds while the average over awake nodes is below
+      ``low_watermark`` and no awake node is above ``wake_watermark``.
+      In it, only the least-loaded awake node (ties broken by name)
+      plans: one action per managed process, each ranked over the awake
+      peers that stay at or below ``target_cap`` after the move, most
+      loaded first.  Once it manages nothing, it plans ``sleep``.
+    - Out of power mode the inner strategy (the paper's threshold rule)
+      plans.  Checking the awake maximum, not only the average, avoids
+      a hysteresis trap: a freshly woken idle node halves the average.
+    - A sleeping node plans ``wake`` when an awake peer is above
+      ``wake_watermark`` and it is the first sleeping node by name, so
+      nodes wake one at a time.
+    """
+
+    name = "consolidate"
+
+    def __init__(
+        self,
+        config: PolicyConfig,
+        *,
+        inner: Optional[Strategy] = None,
+        low_watermark: float = 35.0,
+        target_cap: float = 75.0,
+        wake_watermark: float = 65.0,
+    ) -> None:
+        self.config = config
+        self.inner = inner or PaperThresholdStrategy(config)
+        self.low_watermark = low_watermark
+        self.target_cap = target_cap
+        self.wake_watermark = wake_watermark
+
+    def plan(self, model: ClusterModel) -> MigrationPlan:
+        plan = MigrationPlan(self.name, model.now)
+        local = model.local
+        hot = any(p.cpu_percent > self.wake_watermark for p in model.peers)
+        if local.asleep:
+            sleepers = [local.name] + [p.name for p in model.asleep_peers]
+            if hot and min(sleepers) == local.name:
+                plan.power = "wake"
+            return plan
+        if (
+            hot
+            or local.cpu_percent > self.wake_watermark
+            or model.average >= self.low_watermark
+        ):
+            plan.actions = self.inner.plan(model).actions
+            return plan
+        awake = [local, *model.peers]
+        if not model.peers or min(
+            awake, key=lambda v: (v.cpu_percent, v.name)
+        ) is not local:
+            return plan
+        if local.nprocs == 0:
+            plan.power = "sleep"
+            return plan
+        projected = {info.local_ip: info.cpu_percent for info in model.peer_infos}
+        for proc, share in model.shares:
+            ranked = sorted(
+                model.peer_infos,
+                key=lambda i: (-projected[i.local_ip], i.node_name),
+            )
+            candidates = tuple(
+                i for i in ranked if projected[i.local_ip] + share <= self.target_cap
+            )
+            if not candidates:
+                continue
+            projected[candidates[0].local_ip] += share
+            plan.actions.append(
+                MigrationAction(proc, local.name, candidates, score=share)
+            )
+        return plan
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -632,6 +728,14 @@ def _make_cycle_aware(config: "ConductorConfig", rng, **params) -> Strategy:
     return CycleAwareStrategy(config.policies, **params)
 
 
+@register_strategy("consolidate")
+def _make_consolidate(config: "ConductorConfig", rng, **params) -> Strategy:
+    # The inner rule honours the conductor's policy overrides.
+    return ConsolidateStrategy(
+        config.policies, inner=_make_paper(config, rng), **params
+    )
+
+
 # ---------------------------------------------------------------------------
 # The planner
 # ---------------------------------------------------------------------------
@@ -644,8 +748,9 @@ class Planner:
     two-phase reserve / detector veto / retry path, future-dated
     actions are parked until ``not_before``, and actions that race
     admission-capacity exhaustion are dropped and re-planned on a later
-    round.  Every fate is counted (``planner.*``) and, when plan
-    tracing is on, traced (``plan.*``).
+    round.  A plan's power action puts the conductor to sleep or wakes
+    it.  Every fate and power action is counted (``planner.*``) and,
+    whenever tracing is on, traced (``plan.*``).
     """
 
     def __init__(self, conductor: "Conductor", strategy: Strategy) -> None:
@@ -671,6 +776,8 @@ class Planner:
         self.deferred_total = 0
         self.dropped_total = 0
         self.stale_skipped_total = 0
+        self.sleeps_total = 0
+        self.wakes_total = 0
 
         metrics = self.env.metrics
         if metrics is not None:
@@ -685,6 +792,8 @@ class Planner:
                 ("deferred", lambda: self.deferred_total),
                 ("dropped", lambda: self.dropped_total),
                 ("stale_skipped", lambda: self.stale_skipped_total),
+                ("sleeps", lambda: self.sleeps_total),
+                ("wakes", lambda: self.wakes_total),
                 ("pending", lambda: len(self._deferred)),
             ]:
                 metrics.gauge(f"planner.{node}.{suffix}", fn=fn)
@@ -698,6 +807,7 @@ class Planner:
             now, self.staleness
         )
         self.stale_skipped_total += len(stale_infos)
+        awake_infos = [i for i in fresh_infos if not i.asleep]
 
         def view(info: LoadInfo) -> NodeView:
             return NodeView(
@@ -707,6 +817,7 @@ class Planner:
                 nprocs=info.nprocs,
                 heartbeat_age=info.age(now),
                 health=cond.detector.state(info.local_ip),
+                asleep=info.asleep,
             )
 
         local_view = NodeView(
@@ -717,6 +828,7 @@ class Planner:
             heartbeat_age=0.0,
             health=ALIVE,
             is_self=True,
+            asleep=cond.asleep,
         )
         shares = cond.monitor.process_shares(
             [p for p in cond.managed if p not in cond._outbound]
@@ -725,15 +837,16 @@ class Planner:
         return ClusterModel(
             now=now,
             local=local_view,
-            peers=[view(i) for i in fresh_infos],
+            peers=[view(i) for i in awake_infos],
             stale_peers=[view(i) for i in stale_infos],
-            peer_infos=fresh_infos,
+            peer_infos=awake_infos,
             average=average,
             shares=shares,
             max_actions=1 if sequential else cond.admission.available,
             sequential=sequential,
             config=cond.config.policies,
             history={k: tuple(v) for k, v in self._history.items()},
+            asleep_peers=[view(i) for i in fresh_infos if i.asleep],
         )
 
     def _record_history(self, local: float) -> None:
@@ -771,6 +884,8 @@ class Planner:
             yield from self._run_due(model)
             return
         plan = self.strategy.plan(model)
+        if plan.power is not None:
+            self._apply_power(plan)
         if not plan.actions:
             return
         self.plans_total += 1
@@ -931,6 +1046,21 @@ class Planner:
                 dest=dest.node_name if dest is not None else None,
                 outcome=kind,
                 attempts=outcome.get("attempts", 0),
+            )
+
+    def _apply_power(self, plan: MigrationPlan) -> None:
+        self.cond.asleep = plan.power == "sleep"
+        if self.cond.asleep:
+            self.sleeps_total += 1
+        else:
+            self.wakes_total += 1
+        tr = self.env.tracer
+        if tr.enabled:
+            tr.event(
+                "plan.power",
+                node=self.cond.host.name,
+                strategy=plan.strategy,
+                action=plan.power,
             )
 
     def _trace_plan(self, plan: MigrationPlan) -> None:

@@ -53,7 +53,6 @@ __all__ = [
     "compare_benches",
     "discover_benches",
     "run_bench_file",
-    "profile_bench_file",
     "main",
 ]
 
@@ -293,52 +292,6 @@ def run_bench_file(path: Path, quick: bool) -> Optional[dict]:
     return validate_bench(result)
 
 
-def profile_bench_file(
-    path: Path, quick: bool, top: int = 25
-) -> tuple[Optional[dict], Optional[str]]:
-    """Run one bench hook under :mod:`cProfile`.
-
-    Returns ``(doc, hotspot_text)`` where ``hotspot_text`` holds the
-    top-``top`` functions by cumulative and by internal time — the
-    per-bench hotspot tables written next to ``BENCH_<name>.json`` as
-    ``PROFILE_<name>.txt``.  ``(None, None)`` when the module has no
-    ``bench_result`` hook.  Profiling slows the run down, so profiled
-    numbers are for *finding* hotspots, never for the regression gate —
-    record the gated BENCH json from an unprofiled run.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    path = Path(path)
-    mod = _load_module(path)
-    hook = getattr(mod, "bench_result", None)
-    if hook is None:
-        return None, None
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = hook(quick=quick)
-    finally:
-        profiler.disable()
-    if "schema" not in result:
-        result = make_bench(
-            result.pop("name", _bench_name(path)),
-            quick=quick,
-            **result,
-        )
-    doc = validate_bench(result)
-    buf = io.StringIO()
-    buf.write(
-        f"# hotspots: {doc['name']} (quick={quick}, rev={doc.get('created_rev')})\n"
-        f"# top {top} by cumulative time, then top {top} by internal time\n\n"
-    )
-    stats = pstats.Stats(profiler, stream=buf)
-    stats.sort_stats("cumulative").print_stats(top)
-    stats.sort_stats("tottime").print_stats(top)
-    return doc, buf.getvalue()
-
-
 def _select(paths: list[Path], names: list[str]) -> list[Path]:
     """Prefix-match requested names against discovered bench files."""
     if not names:
@@ -363,18 +316,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     wrote = 0
     failed_slos: list[str] = []
     for path in paths:
-        if args.profile:
-            doc, hotspots = profile_bench_file(path, quick=quick, top=args.profile_top)
-        else:
-            doc, hotspots = run_bench_file(path, quick=quick), None
+        doc = run_bench_file(path, quick=quick)
         if doc is None:
             print(f"skip {path.name}: no bench_result hook")
             continue
         written = write_bench(out_dir, doc)
-        if hotspots is not None:
-            profile_path = out_dir / f"PROFILE_{doc['name']}.txt"
-            profile_path.write_text(hotspots)
-            print(f"wrote {profile_path}")
         wrote += 1
         slos = doc.get("slos")
         verdict = ""
@@ -459,17 +405,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--no-slo-gate",
         action="store_true",
         help="record SLO verdicts but do not fail the exit code on violations",
-    )
-    p_run.add_argument(
-        "--profile",
-        action="store_true",
-        help="run each hook under cProfile and write PROFILE_<name>.txt hotspot tables",
-    )
-    p_run.add_argument(
-        "--profile-top",
-        type=int,
-        default=25,
-        help="rows per hotspot table with --profile (default: 25)",
     )
     p_run.set_defaults(func=_cmd_run)
 

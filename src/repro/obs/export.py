@@ -335,7 +335,7 @@ def render_plan_report(
     """The decision plane's story: plans, actions, and their fates.
 
     Three tables from the ``plan.*`` vocabulary (emitted by the
-    conductor's planner and the consolidator, see docs/strategies.md):
+    conductor's planner, see docs/strategies.md):
     one row per ``plan.emitted``, one row per planned action with its
     eventual outcome (executed / retried / vetoed / aborted, or
     deferred / dropped while parked), and a per-strategy rollup with

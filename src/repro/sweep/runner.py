@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Optional
 
 from .merge import make_sweep_doc
 from .spec import SweepSpec, parse_strategy_value
@@ -145,12 +144,3 @@ def run_sweep(
         runs=summaries,
         wall_s=wall,
     )
-
-
-def serial_estimate(doc: dict) -> Optional[float]:
-    """Speedup factor of the recorded run (serial sum / wall), or
-    ``None`` when the wall clock is degenerate."""
-    wall = doc.get("wall_s", 0.0)
-    if not wall:
-        return None
-    return doc["serial_wall_s"] / wall

@@ -82,11 +82,6 @@ class TestRun:
         with pytest.raises(EmptySchedule):
             env.step()
 
-    def test_peek(self, env):
-        assert env.peek() == float("inf")
-        env.timeout(3.5)
-        assert env.peek() == 3.5
-
     def test_clock_monotonic(self, env):
         stamps = []
         for d in (5.0, 1.0, 3.0, 1.0):

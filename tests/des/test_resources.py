@@ -71,13 +71,6 @@ class TestStore:
         env.run()
         assert accepted == [(0, 0), (10, 1)]
 
-    def test_try_put_try_get(self, env):
-        store = Store(env, capacity=1)
-        assert store.try_get() is None
-        assert store.try_put("a")
-        assert not store.try_put("b")
-        assert store.try_get() == "a"
-
     def test_multiple_getters_fifo(self, env):
         store = Store(env)
         winners = []

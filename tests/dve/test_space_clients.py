@@ -20,7 +20,6 @@ def make_pop(grid, n=2000, seed=1, **kw):
 class TestZoneGrid:
     def test_hundred_zones(self, grid):
         assert len(grid) == 100
-        assert grid.zones_per_node == 20
 
     def test_zone_ids_cover_grid(self, grid):
         ids = {z.zone_id for z in grid.zones}
@@ -38,7 +37,7 @@ class TestZoneGrid:
         for zone in grid.zones:
             assert grid.initial_node_of(zone) == zone.row // 2
         for i in range(5):
-            assert len(grid.zones_of_node(i)) == 20
+            assert sum(grid.initial_node_of(z) == i for z in grid.zones) == 20
 
     def test_position_binning(self, grid):
         assert grid.zone_of_position(3.7, 8.2).zone_id == grid.zone_at(3, 8).zone_id
@@ -111,8 +110,9 @@ class TestClientPopulation:
 
     def test_count_in_zone(self, grid):
         pop = make_pop(grid, n=1000)
-        total = sum(pop.count_in_zone(z.zone_id) for z in grid.zones)
-        assert total == 1000
+        counts = pop.zone_counts()
+        assert counts.shape == (grid.rows, grid.cols)
+        assert counts.sum() == 1000
 
     def test_empty_population_rejected(self, grid):
         with pytest.raises(ValueError):

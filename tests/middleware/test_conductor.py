@@ -206,7 +206,7 @@ class TestReserveProtocol:
         cluster, conductors = build_balanced_cluster()
         run_for(cluster, 0.5)
         target = conductors[1]
-        assert target.slot.try_reserve("someone")
+        assert target.admission.try_reserve("someone")
         replies = []
 
         def ask():
@@ -241,5 +241,5 @@ class TestReserveProtocol:
 
         cluster.env.process(ask())
         run_for(cluster, 0.5)
-        assert not conductors[1].slot.busy
-        assert not conductors[1].slot.calming  # aborted, no calm-down
+        assert not conductors[1].admission.busy
+        assert not conductors[1].admission.calming  # aborted, no calm-down

@@ -1,9 +1,10 @@
 """Unit tests for load info, peer database and the four policies."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.middleware import (
-    InformationPolicy,
     LoadInfo,
     LocationPolicy,
     PeerDatabase,
@@ -47,6 +48,12 @@ class TestPeerDatabase:
         db = PeerDatabase()
         db.update(info("node2", 40))
         db.update(info("node3", 60))
+        assert db.cluster_average(own_load=80) == pytest.approx(60)
+
+    def test_cluster_average_skips_sleeping_peers(self):
+        db = PeerDatabase()
+        db.update(info("node2", 40))
+        db.update(replace(info("node3", 0), asleep=True))
         assert db.cluster_average(own_load=80) == pytest.approx(60)
 
     def test_average_alone(self):
@@ -179,9 +186,3 @@ class TestSelectionPolicy:
 
     def test_empty(self):
         assert SelectionPolicy(PolicyConfig()).choose(10.0, []) is None
-
-
-class TestInformationPolicy:
-    def test_interval(self):
-        p = InformationPolicy(PolicyConfig(heartbeat_interval=2.5))
-        assert p.interval == 2.5

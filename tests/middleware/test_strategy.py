@@ -1,6 +1,7 @@
 """Unit tests for the decision strategies (pure: model in, plan out)."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.middleware import (
     BalanceToAverageStrategy,
     ClusterModel,
     ConductorConfig,
+    ConsolidateStrategy,
     CycleAwareStrategy,
     LoadInfo,
     MigrationAction,
@@ -240,12 +242,58 @@ class TestCycleAwareStrategy:
         assert strat.revalidate(action, hot)
 
 
+class TestConsolidateStrategy:
+    def plan(self, model, **params):
+        return ConsolidateStrategy(PolicyConfig(), **params).plan(model)
+
+    def test_least_loaded_node_drains_onto_most_loaded_peer(self):
+        model = model_of(
+            10.0,
+            [peer("node2", 2, 20.0), peer("node3", 3, 30.0)],
+            [(FakeProc(1), 10.0)],
+        )
+        plan = self.plan(model)
+        (action,) = plan.actions
+        assert [c.node_name for c in action.candidates] == ["node3", "node2"]
+        assert plan.power is None
+        (capped,) = self.plan(model, target_cap=35.0).actions
+        assert [c.node_name for c in capped.candidates] == ["node2"]
+
+    def test_only_the_least_loaded_node_plans(self):
+        model = model_of(25.0, [peer("node2", 2, 20.0)], [(FakeProc(1), 25.0)])
+        plan = self.plan(model)
+        assert not plan.actions and plan.power is None
+
+    def test_empty_least_loaded_node_sleeps(self):
+        model = model_of(0.0, [peer("node2", 2, 20.0)], [])
+        assert self.plan(model).power == "sleep"
+        # ... but never the last awake node.
+        assert self.plan(model_of(0.0, [], [])).power is None
+
+    def test_out_of_power_mode_runs_the_paper_rule(self):
+        model = model_of(95.0, [peer("node2", 2, 30.0)], [(FakeProc(1), 30.0)])
+        plan = self.plan(model)
+        paper = PaperThresholdStrategy(PolicyConfig()).plan(model)
+        assert plan.strategy == "consolidate"
+        assert plan.actions and plan.actions == paper.actions
+
+    def test_first_sleeping_node_wakes_on_overload(self):
+        hot = model_of(0.0, [peer("node2", 2, 90.0)], [])
+        asleep = replace(hot, local=replace(hot.local, asleep=True))
+        assert self.plan(asleep).power == "wake"
+        earlier = NodeView("node0", IPAddr("192.168.0.9"), 0.0, 0, 0.0, asleep=True)
+        assert self.plan(replace(asleep, asleep_peers=[earlier])).power is None
+        calm = model_of(0.0, [peer("node2", 2, 50.0)], [])
+        assert self.plan(replace(calm, local=replace(calm.local, asleep=True))).power is None
+
+
 class TestRegistry:
     def test_known_strategies_registered(self):
         for name in (
             "paper-threshold",
             "workload-balance-to-average",
             "cycle-aware",
+            "consolidate",
         ):
             assert name in STRATEGIES
 

@@ -179,8 +179,6 @@ class TestMergeDoc:
                 validate_sweep(bad)
 
     def test_worker_error_becomes_run_entry(self, tmp_path, monkeypatch):
-        import repro.sweep.runner as runner_mod
-
         def boom(*a, **k):
             raise RuntimeError("kaput")
 
@@ -189,7 +187,6 @@ class TestMergeDoc:
         doc = run_sweep(spec, jobs=1, quick=True, out_dir=tmp_path)
         assert all("RuntimeError: kaput" in r["error"] for r in doc["runs"])
         validate_sweep(doc)
-        assert runner_mod.serial_estimate(doc) is not None
 
     def test_render_table(self, tmp_path):
         doc = self._doc(tmp_path)
