@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 
 __all__ = ["IPAddr", "Endpoint", "FlowKey", "PROTO_TCP", "PROTO_UDP", "PROTO_CTL"]
 
@@ -12,39 +13,67 @@ PROTO_UDP = "udp"
 PROTO_CTL = "ctl"
 
 
-@dataclass(frozen=True, slots=True, order=True)
+#: Every octet in canonical form (ASCII digits, no leading zero) -> value.
+_OCTETS = {str(i): i for i in range(256)}
+
+#: value string -> its one IPAddr instance.
+_interned: dict[str, "IPAddr"] = {}
+
+
+@total_ordering
 class IPAddr:
     """An IPv4-style address.
 
     Only used as an opaque, comparable identity; no subnetting logic is
-    required by the model.
+    required by the model.  Interned: there is one instance per address,
+    so ``==`` and ``hash`` are the identity ones and run at C speed on
+    the per-packet path.  Only canonical dotted quads are accepted, so
+    two spellings of one 32-bit value cannot become two addresses.
     """
 
-    value: str
+    __slots__ = ("value", "_int")
 
-    def __post_init__(self) -> None:
-        parts = self.value.split(".")
-        if len(parts) != 4 or not all(p.isdigit() and 0 <= int(p) <= 255 for p in parts):
-            raise ValueError(f"malformed IPv4 address: {self.value!r}")
+    value: str
+    _int: int
+
+    def __new__(cls, value: str) -> "IPAddr":
+        addr = _interned.get(value)
+        if addr is None:
+            parts = value.split(".") if type(value) is str else ()
+            if len(parts) != 4 or not all(p in _OCTETS for p in parts):
+                raise ValueError(f"malformed IPv4 address: {value!r}")
+            a, b, c, d = (_OCTETS[p] for p in parts)
+            addr = object.__new__(cls)
+            object.__setattr__(addr, "value", value)
+            object.__setattr__(addr, "_int", (a << 24) | (b << 16) | (c << 8) | d)
+            _interned[value] = addr
+        return addr
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle, copy and deepcopy all rebuild through the constructor,
+        # which hands back the interned instance.
+        return (IPAddr, (self.value,))
+
+    def __lt__(self, other: object) -> bool:
+        if type(other) is not IPAddr:
+            return NotImplemented
+        return self.value < other.value
+
+    def __repr__(self) -> str:
+        return f"IPAddr(value={self.value!r})"
 
     def __str__(self) -> str:
         return self.value
 
     def as_int(self) -> int:
-        """Address as a 32-bit integer (used in checksum computation).
-
-        Memoized module-wide: this sits on the per-packet hot path.
-        """
-        cached = _int_cache.get(self.value)
-        if cached is None:
-            a, b, c, d = (int(p) for p in self.value.split("."))
-            cached = (a << 24) | (b << 16) | (c << 8) | d
-            _int_cache[self.value] = cached
-        return cached
-
-
-#: value-string -> packed int; addresses are few and immutable.
-_int_cache: dict[str, int] = {}
+        """Address as a 32-bit integer (used in checksum computation)."""
+        return self._int
 
 
 @dataclass(frozen=True, slots=True, order=True)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import struct
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
+from zlib import crc32
 
-from .addr import Endpoint, FlowKey, IPAddr, PROTO_CTL, PROTO_TCP, PROTO_UDP
+from .addr import Endpoint, IPAddr, PROTO_CTL, PROTO_TCP, PROTO_UDP
 
 __all__ = [
     "TCPFlags",
@@ -34,7 +34,17 @@ IP_HEADER_BYTES = 20
 TCP_HEADER_BYTES = 32  # incl. timestamp option, as on Linux
 UDP_HEADER_BYTES = 8
 
+#: Header bytes per protocol (ctl rides on UDP-like framing).
+_HEADER_BYTES = {
+    PROTO_TCP: IP_HEADER_BYTES + TCP_HEADER_BYTES,
+    PROTO_UDP: IP_HEADER_BYTES + UDP_HEADER_BYTES,
+    PROTO_CTL: IP_HEADER_BYTES + UDP_HEADER_BYTES,
+}
+
 _packet_ids = itertools.count(1)
+#: The next packet id.  Every packet, built or only accounted for,
+#: draws from this one counter.
+next_packet_id = _packet_ids.__next__
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +95,7 @@ class Packet:
     payload: Any = None
     tcp: Optional[TCPHeader] = None
     checksum: int = 0
-    pkt_id: int = field(default_factory=lambda: next(_packet_ids))
+    pkt_id: int = field(default_factory=next_packet_id)
     #: Packet generation time (set by the sender; diagnostics only).
     sent_at: float = 0.0
     #: IP destination-cache entry inherited from the originating socket
@@ -105,14 +115,11 @@ class Packet:
     wire_seq: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.proto == PROTO_TCP:
-            if self.tcp is None:
-                raise ValueError("TCP packet without TCP header")
-            hdr = IP_HEADER_BYTES + TCP_HEADER_BYTES
-        elif self.proto in (PROTO_UDP, PROTO_CTL):
-            hdr = IP_HEADER_BYTES + UDP_HEADER_BYTES  # ctl rides on UDP-like framing
-        else:
+        hdr = _HEADER_BYTES.get(self.proto)
+        if hdr is None:
             raise ValueError(f"unknown protocol {self.proto!r}")
+        if self.proto == PROTO_TCP and self.tcp is None:
+            raise ValueError("TCP packet without TCP header")
         if self.payload_size < 0:
             raise ValueError("negative payload size")
         self.size = hdr + self.payload_size
@@ -131,10 +138,6 @@ class Packet:
     def dst(self) -> Endpoint:
         return Endpoint(self.dst_ip, self.dport)
 
-    def flow_key_at_receiver(self) -> FlowKey:
-        """FlowKey from the receiving host's point of view."""
-        return FlowKey(self.proto, local=self.dst, remote=self.src)
-
     def seal(self) -> "Packet":
         """Compute and store the transport checksum.  Returns self."""
         self.checksum = transport_checksum(self)
@@ -148,28 +151,21 @@ class Packet:
         """Shallow copy with a fresh packet id (used by the broadcast
         router, which delivers one instance per node so that per-node
         header mangling never aliases)."""
-        tcp = None
-        if self.tcp is not None:
-            tcp = TCPHeader(
-                seq=self.tcp.seq,
-                ack=self.tcp.ack,
-                flags=self.tcp.flags,
-                window=self.tcp.window,
-                ts_val=self.tcp.ts_val,
-                ts_ecr=self.tcp.ts_ecr,
-            )
-        return Packet(
-            src_ip=self.src_ip,
-            dst_ip=self.dst_ip,
-            proto=self.proto,
-            sport=self.sport,
-            dport=self.dport,
-            payload_size=self.payload_size,
-            payload=self.payload,
-            tcp=tcp,
-            checksum=self.checksum,
-            sent_at=self.sent_at,
-            dst_cache_ip=self.dst_cache_ip,
+        tcp = self.tcp
+        if tcp is not None:
+            tcp = TCPHeader(tcp.seq, tcp.ack, tcp.flags, tcp.window, tcp.ts_val, tcp.ts_ecr)
+        return new_packet(
+            self.src_ip,
+            self.dst_ip,
+            self.proto,
+            self.sport,
+            self.dport,
+            self.payload_size,
+            self.payload,
+            tcp,
+            self.checksum,
+            self.sent_at,
+            self.dst_cache_ip,
         )
 
     def __str__(self) -> str:
@@ -177,6 +173,40 @@ class Packet:
         if self.tcp is not None:
             base += f" seq={self.tcp.seq} ack={self.tcp.ack} [{self.tcp.flags}]"
         return base
+
+
+def new_packet(
+    src_ip: IPAddr,
+    dst_ip: IPAddr,
+    proto: str,
+    sport: int,
+    dport: int,
+    payload_size: int,
+    payload: Any,
+    tcp: Optional[TCPHeader],
+    checksum: int,
+    sent_at: float,
+    dst_cache_ip: Optional[IPAddr],
+) -> Packet:
+    """``Packet(...)`` for fields the caller already knows valid (a copy,
+    a TCP segment): assigns every init slot directly and skips the
+    checks of ``__post_init__``, with the same id counter and size rule.
+    A new :class:`Packet` field is added here too."""
+    pkt = object.__new__(Packet)
+    pkt.src_ip = src_ip
+    pkt.dst_ip = dst_ip
+    pkt.proto = proto
+    pkt.sport = sport
+    pkt.dport = dport
+    pkt.payload_size = payload_size
+    pkt.payload = payload
+    pkt.tcp = tcp
+    pkt.checksum = checksum
+    pkt.pkt_id = next_packet_id()
+    pkt.sent_at = sent_at
+    pkt.dst_cache_ip = dst_cache_ip
+    pkt.size = _HEADER_BYTES[proto] + payload_size
+    return pkt
 
 
 def reserve_packet_ids(count: int) -> None:
@@ -187,7 +217,10 @@ def reserve_packet_ids(count: int) -> None:
 
 _PROTO_IDS = {PROTO_TCP: 6, PROTO_UDP: 17, PROTO_CTL: 253}
 _PSEUDO = struct.Struct("!IIBHHI")
-_TCP_PART = struct.Struct("!IIB")
+#: The pseudo-header followed by the TCP part (seq, ack, flag bits):
+#: "!" packs without padding, so these are the bytes of the two packed
+#: one after the other.
+_PSEUDO_TCP = struct.Struct("!IIBHHIIIB")
 
 
 def transport_checksum(pkt: Packet) -> int:
@@ -196,20 +229,32 @@ def transport_checksum(pkt: Packet) -> int:
     Covers source/destination IP (the pseudo-header — this is why NAT-style
     rewriting must recompute it), ports, length, and for TCP the sequence
     numbers and flags.  CRC32 stands in for the Internet checksum; only
-    the *dependency set* matters for the model.  (struct-packed: this is
-    computed once per transmitted and once per received packet.)
+    the *dependency set* matters for the model.  (One struct pack: this
+    is computed once per transmitted and once per received packet.)
     """
-    buf = _PSEUDO.pack(
-        pkt.src_ip.as_int(),
-        pkt.dst_ip.as_int(),
-        _PROTO_IDS[pkt.proto],
-        pkt.sport,
-        pkt.dport,
-        pkt.payload_size,
-    )
     tcp = pkt.tcp
-    if tcp is not None:
-        flags = tcp.flags
-        bits = flags.syn | (flags.ack << 1) | (flags.fin << 2) | (flags.rst << 3)
-        buf += _TCP_PART.pack(tcp.seq & 0xFFFFFFFF, tcp.ack & 0xFFFFFFFF, bits)
-    return zlib.crc32(buf)
+    if tcp is None:
+        return crc32(
+            _PSEUDO.pack(
+                pkt.src_ip._int,
+                pkt.dst_ip._int,
+                _PROTO_IDS[pkt.proto],
+                pkt.sport,
+                pkt.dport,
+                pkt.payload_size,
+            )
+        )
+    flags = tcp.flags
+    return crc32(
+        _PSEUDO_TCP.pack(
+            pkt.src_ip._int,
+            pkt.dst_ip._int,
+            _PROTO_IDS[pkt.proto],
+            pkt.sport,
+            pkt.dport,
+            pkt.payload_size,
+            tcp.seq & 0xFFFFFFFF,
+            tcp.ack & 0xFFFFFFFF,
+            flags.syn | (flags.ack << 1) | (flags.fin << 2) | (flags.rst << 3),
+        )
+    )

@@ -33,10 +33,7 @@ class JiffiesClock:
     @property
     def jiffies(self) -> int:
         """Current jiffies value on this node."""
-        return self.boot_offset + int(self.env.now * self.hz)
-
-    def to_seconds(self, njiffies: int) -> float:
-        return njiffies / self.hz
+        return self.boot_offset + int(self.env._now * self.hz)
 
     def delta_to(self, other: "JiffiesClock") -> int:
         """Jiffies offset to add when moving timestamps to ``other``.

@@ -59,7 +59,14 @@ class NetfilterHooks:
     CHAINS = (NF_INET_LOCAL_IN, NF_INET_LOCAL_OUT)
 
     def __init__(self) -> None:
-        self._chains: dict[str, list[NetfilterHook]] = {c: [] for c in self.CHAINS}
+        #: The live, priority-sorted hooks of each chain.  Registration
+        #: changes these lists in place, so a holder (the IP layer skips an
+        #: empty chain without calling :meth:`run`) always sees the current
+        #: hooks.  Read them; change them only through :meth:`register` and
+        #: :meth:`unregister`.
+        self.local_in: list[NetfilterHook] = []
+        self.local_out: list[NetfilterHook] = []
+        self._chains = {NF_INET_LOCAL_IN: self.local_in, NF_INET_LOCAL_OUT: self.local_out}
 
     def register(self, chain: str, fn: HookFn, priority: int = 0, name: str = "") -> NetfilterHook:
         if chain not in self._chains:

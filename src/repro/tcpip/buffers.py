@@ -95,9 +95,6 @@ class WriteQueue:
     def __iter__(self) -> Iterator[SKBuff]:
         return iter(self._bufs)
 
-    def bytes_in_flight(self) -> int:
-        return sum(b.size for b in self._bufs)
-
     def clear(self) -> list[SKBuff]:
         bufs, self._bufs = self._bufs, []
         return bufs

@@ -11,17 +11,29 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..net import FlowKey, IPAddr
+from ..net import FlowKey, IPAddr, Packet
 
 __all__ = ["SocketTables"]
+
+
+#: ``ehash`` key: (local ip, local port, remote ip, remote port).  A flat
+#: tuple of interned addresses and ints hashes and compares at C speed,
+#: and :meth:`SocketTables.ehash_lookup_rx` builds it straight from a
+#: packet's header.
+EKey = tuple[IPAddr, int, IPAddr, int]
+
+
+def _ekey(key: FlowKey) -> EKey:
+    local, remote = key.local, key.remote
+    return (local.ip, local.port, remote.ip, remote.port)
 
 
 class SocketTables:
     """Per-node socket lookup state."""
 
     def __init__(self) -> None:
-        #: Established TCP connections: FlowKey -> TCPSocket.
-        self.ehash: dict[FlowKey, Any] = {}
+        #: Established TCP connections: :data:`EKey` -> TCPSocket.
+        self.ehash: dict[EKey, Any] = {}
         #: Bound/listening TCP sockets: (ip, port) -> TCPSocket.
         self.bhash: dict[tuple[Optional[IPAddr], int], Any] = {}
         #: Bound UDP sockets: (ip, port) -> UDPSocket.
@@ -29,18 +41,24 @@ class SocketTables:
 
     # -- TCP established ------------------------------------------------------
     def ehash_insert(self, key: FlowKey, sock: Any) -> None:
-        if key in self.ehash:
+        ekey = _ekey(key)
+        if ekey in self.ehash:
             raise ValueError(f"ehash collision for {key}")
-        self.ehash[key] = sock
+        self.ehash[ekey] = sock
 
     def ehash_remove(self, key: FlowKey) -> Any:
         try:
-            return self.ehash.pop(key)
+            return self.ehash.pop(_ekey(key))
         except KeyError:
             raise ValueError(f"{key} not in ehash") from None
 
     def ehash_lookup(self, key: FlowKey) -> Optional[Any]:
-        return self.ehash.get(key)
+        return self.ehash.get(_ekey(key))
+
+    def ehash_lookup_rx(self, pkt: Packet) -> Optional[Any]:
+        """The established socket a received packet belongs to, keyed
+        straight from its header (no ``Endpoint`` or ``FlowKey``)."""
+        return self.ehash.get((pkt.dst_ip, pkt.dport, pkt.src_ip, pkt.sport))
 
     # -- TCP bound/listening -----------------------------------------------------
     def bhash_insert(self, ip: Optional[IPAddr], port: int, sock: Any) -> None:

@@ -35,6 +35,11 @@ class IPLayer:
 
     def __init__(self, stack: "NetworkStack") -> None:
         self.stack = stack
+        netfilter = stack.kernel.netfilter
+        self._netfilter = netfilter
+        # The live chain lists: an empty chain is skipped without a call.
+        self._local_in = netfilter.local_in
+        self._local_out = netfilter.local_out
         self.checksum_drops = 0
         self.no_socket_drops = 0
         self.hook_drops = 0
@@ -47,21 +52,21 @@ class IPLayer:
         if not pkt.checksum_ok():
             self.checksum_drops += 1
             return
-        verdict = self.stack.kernel.netfilter.run(NF_INET_LOCAL_IN, pkt)
-        if verdict != NF_ACCEPT:
-            if verdict == NF_STOLEN:
-                self.hook_stolen += 1
-            else:
-                self.hook_drops += 1
-            return
+        if self._local_in:
+            verdict = self._netfilter.run(NF_INET_LOCAL_IN, pkt)
+            if verdict != NF_ACCEPT:
+                if verdict == NF_STOLEN:
+                    self.hook_stolen += 1
+                else:
+                    self.hook_drops += 1
+                return
         self.ip_rcv_finish(pkt)
 
     def ip_rcv_finish(self, pkt: Packet) -> None:
         """Demultiplex to a socket; the ``okfn()`` reinjection target."""
-        key = pkt.flow_key_at_receiver()
         tables = self.stack.tables
         if pkt.proto == PROTO_TCP:
-            sock = tables.ehash_lookup(key)
+            sock = tables.ehash_lookup_rx(pkt)
             if sock is None:
                 listener = tables.bhash_lookup(pkt.dst_ip, pkt.dport)
                 if listener is not None and pkt.tcp is not None and pkt.tcp.flags.syn:
@@ -86,8 +91,7 @@ class IPLayer:
 
     # -- transmit ------------------------------------------------------------
     def ip_output(self, pkt: Packet) -> None:
-        verdict = self.stack.kernel.netfilter.run(NF_INET_LOCAL_OUT, pkt)
-        if verdict != NF_ACCEPT:
+        if self._local_out and self._netfilter.run(NF_INET_LOCAL_OUT, pkt) != NF_ACCEPT:
             self.hook_drops += 1
             return
         # Physical egress follows the destination cache when attached.

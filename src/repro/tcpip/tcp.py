@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ..des import Event
 from ..net import Endpoint, FlowKey, IPAddr, PROTO_TCP, Packet, TCPFlags, TCPHeader
+from ..net.packet import new_packet, transport_checksum
 from .buffers import OutOfOrderQueue, ReceiveQueue, SKBuff, WriteQueue
 from .dstcache import DstCacheEntry
 from .seq import seq_add, seq_gt, seq_leq
@@ -42,6 +43,13 @@ DEFAULT_WINDOW = 65535
 
 #: Sentinel payload marking end-of-stream in the receive queue.
 EOF = object()
+
+#: The flag sets segments carry, shared by every segment (``TCPFlags``
+#: is frozen).
+ACK = TCPFlags(ack=True)
+SYN = TCPFlags(syn=True)
+SYN_ACK = TCPFlags(syn=True, ack=True)
+FIN_ACK = TCPFlags(fin=True, ack=True)
 
 _iss_counter = itertools.count(10_000, 64_000)
 
@@ -152,7 +160,7 @@ class TCPSocket:
         return FlowKey(PROTO_TCP, self.local, self.remote)
 
     def current_ts_val(self) -> int:
-        return self.kernel.jiffies.jiffies + self.ts_offset
+        return self.stack.kernel.jiffies.jiffies + self.ts_offset
 
     def _new_iss(self) -> int:
         return next(_iss_counter) % (1 << 32)
@@ -201,7 +209,7 @@ class TCPSocket:
         self.stack.tables.ehash_insert(self.flow_key, self)
         self.hashed = True
         self._connect_event = Event(self.env)
-        self._send_ctl(TCPFlags(syn=True), seq=self.iss)
+        self._send_ctl(SYN, seq=self.iss)
         self._arm_rto()
         return self._connect_event
 
@@ -254,7 +262,7 @@ class TCPSocket:
             raise RuntimeError(f"close in state {self.state}")
         fin_seq = self.snd_nxt
         self.snd_nxt = seq_add(self.snd_nxt, 1)
-        self._send_ctl(TCPFlags(fin=True, ack=True), seq=fin_seq)
+        self._send_ctl(FIN_ACK, seq=fin_seq)
         if not self.rto_armed:
             self._arm_rto()
 
@@ -330,7 +338,7 @@ class TCPSocket:
                 self.ts_recent_stamp = self.current_ts_val()
                 self.state = TCPState.ESTABLISHED
                 self._stop_rto()
-                self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)
+                self._send_ctl(ACK, seq=self.snd_nxt)
                 if self._connect_event is not None:
                     self._connect_event.succeed(self)
                     self._connect_event = None
@@ -339,7 +347,7 @@ class TCPSocket:
         # -- PAWS: reject segments whose timestamp regressed --------------
         if hdr.ts_val != 0 and self.ts_recent != 0 and hdr.ts_val < self.ts_recent:
             self.paws_drops += 1
-            self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)
+            self._send_ctl(ACK, seq=self.snd_nxt)
             return
         if hdr.ts_val != 0 and seq_leq(hdr.seq, self.rcv_nxt):
             if hdr.ts_val > self.ts_recent:
@@ -390,7 +398,7 @@ class TCPSocket:
         self._embryos.append(child)
         self.stack.tables.ehash_insert(key, child)
         child.hashed = True
-        child._send_ctl(TCPFlags(syn=True, ack=True), seq=child.iss)
+        child._send_ctl(SYN_ACK, seq=child.iss)
         child._arm_rto()
 
     def _deliver_child(self, child: "TCPSocket") -> None:
@@ -455,17 +463,17 @@ class TCPSocket:
                 self.receive_queue.push(run_skb)
                 self.rcv_nxt = run_skb.end_seq
                 self.bytes_received += run_skb.size
-            self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)
+            self._send_ctl(ACK, seq=self.snd_nxt)
         elif seq_gt(hdr.seq, self.rcv_nxt):
             self.ooo_queue.insert(skb)
-            self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)  # dup ack
+            self._send_ctl(ACK, seq=self.snd_nxt)  # dup ack
         else:
             # Old or duplicate data: re-ack.
-            self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)
+            self._send_ctl(ACK, seq=self.snd_nxt)
 
     def _process_fin(self, hdr: TCPHeader) -> None:
         if self.fin_received:
-            self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)  # re-ack dup FIN
+            self._send_ctl(ACK, seq=self.snd_nxt)  # re-ack dup FIN
             return
         if not seq_leq(hdr.seq, self.rcv_nxt):
             return  # FIN beyond a gap; wait for retransmission
@@ -478,7 +486,7 @@ class TCPSocket:
             self._become_closed()
         elif self.state == TCPState.FIN_WAIT_1:
             self.state = TCPState.CLOSE_WAIT  # simultaneous close simplified
-        self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)
+        self._send_ctl(ACK, seq=self.snd_nxt)
 
     def _become_closed(self) -> None:
         self.state = TCPState.CLOSED
@@ -518,11 +526,11 @@ class TCPSocket:
         head = self.write_queue.head()
         if head is None:
             if self.state == TCPState.SYN_SENT:
-                self._send_ctl(TCPFlags(syn=True), seq=self.iss)
+                self._send_ctl(SYN, seq=self.iss)
             elif self.state in (TCPState.FIN_WAIT_1, TCPState.LAST_ACK):
-                self._send_ctl(TCPFlags(fin=True, ack=True), seq=seq_add(self.snd_nxt, -1))
+                self._send_ctl(FIN_ACK, seq=seq_add(self.snd_nxt, -1))
             elif self.state == TCPState.SYN_RCVD:
-                self._send_ctl(TCPFlags(syn=True, ack=True), seq=self.iss)
+                self._send_ctl(SYN_ACK, seq=self.iss)
             else:
                 self.rto_armed = False
                 return
@@ -538,34 +546,31 @@ class TCPSocket:
 
     # ---------------------------------------------------------------- output
     def _build_packet(self, flags: TCPFlags, seq: int, payload: Any, size: int) -> Packet:
-        assert self.local is not None and self.remote is not None
-        pkt = Packet(
-            src_ip=self.local.ip,
-            dst_ip=self.remote.ip,
-            proto=PROTO_TCP,
-            sport=self.local.port,
-            dport=self.remote.port,
-            payload_size=size,
-            payload=payload,
-            tcp=TCPHeader(
-                seq=seq,
-                ack=self.rcv_nxt,
-                flags=flags,
-                window=self.rcv_wnd,
-                ts_val=self.current_ts_val(),
-                ts_ecr=self.ts_recent,
-            ),
-            sent_at=self.env.now,
+        local = self.local
+        remote = self.remote
+        assert local is not None and remote is not None
+        entry = self.dst_entry
+        pkt = new_packet(
+            local.ip,
+            remote.ip,
+            PROTO_TCP,
+            local.port,
+            remote.port,
+            size,
+            payload,
+            TCPHeader(seq, self.rcv_nxt, flags, self.rcv_wnd, self.current_ts_val(), self.ts_recent),
+            0,
+            self.env._now,
+            entry.ip if entry is not None else None,
         )
-        if self.dst_entry is not None:
-            pkt.dst_cache_ip = self.dst_entry.ip
-        return pkt.seal()
+        pkt.checksum = transport_checksum(pkt)
+        return pkt
 
     def _send_ctl(self, flags: TCPFlags, seq: int) -> None:
         self.stack.ip_output(self._build_packet(flags, seq, None, 0))
 
     def _send_data(self, skb: SKBuff) -> None:
-        pkt = self._build_packet(TCPFlags(ack=True), skb.seq, skb.payload, skb.size)
+        pkt = self._build_packet(ACK, skb.seq, skb.payload, skb.size)
         self.stack.ip_output(pkt)
 
     def __repr__(self) -> str:

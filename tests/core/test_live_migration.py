@@ -12,6 +12,8 @@ import pytest
 from repro.core import LiveMigrationConfig, install_transd, migrate_process
 from repro.net import Endpoint
 from repro.oskern import RegularFile
+from repro.tcpip import TCPSocket
+from repro.tcpip.tcp import ACK
 from repro.testing import connect_local_tcp, establish_clients, run_for
 
 from .conftest import make_server_proc, start_client_pinger, start_echo
@@ -152,6 +154,37 @@ class TestTransparentTCP:
         assert len(dest.stack.tables.ehash) == 3
         for ch in children:
             assert dest.stack.tables.ehash_lookup(ch.flow_key) is ch
+
+    def test_lookup_and_receive_path_agree_across_rehash(self, two_nodes, monkeypatch):
+        """``ehash_lookup(FlowKey)`` and the receive path's header-built
+        key find the same socket on the source before migration, and on
+        the destination after it."""
+        node, proc = make_server_proc(two_nodes)
+        _, children, clients = establish_clients(two_nodes, node, proc, 27960, 2)
+        dest = two_nodes.nodes[1]
+
+        def receivers(host):
+            """The socket the IP layer demultiplexes each client's next
+            segment to; the segment itself changes no TCP state."""
+            found = []
+            with monkeypatch.context() as m:
+                m.setattr(TCPSocket, "segment_arrives", lambda sock, pkt: found.append(sock))
+                for c in clients:
+                    before = len(found)
+                    host.stack.ip.ip_rcv_finish(c._build_packet(ACK, c.snd_nxt, None, 0))
+                    if len(found) == before:
+                        found.append(None)
+            return found
+
+        owners = [next(ch for ch in children if ch.remote == c.local) for c in clients]
+        assert receivers(node) == owners
+        assert [node.stack.tables.ehash_lookup(ch.flow_key) for ch in owners] == owners
+        assert receivers(dest) == [None, None]
+        report = run_migration(two_nodes, node, dest, proc)
+        assert report.success
+        assert receivers(dest) == owners
+        assert [dest.stack.tables.ehash_lookup(ch.flow_key) for ch in owners] == owners
+        assert receivers(node) == [None, None]
 
     def test_listener_keeps_accepting_after_migration(self, two_nodes):
         node, proc = make_server_proc(two_nodes)

@@ -1,5 +1,7 @@
 """Unit tests for the packet model and checksum semantics."""
 
+import dataclasses
+
 import pytest
 
 from repro.net import (
@@ -15,6 +17,7 @@ from repro.net import (
     UDP_HEADER_BYTES,
     transport_checksum,
 )
+from repro.net.packet import new_packet
 
 
 def make_tcp(payload=100, **kw):
@@ -77,18 +80,24 @@ class TestPacket:
         assert str(p.src) == "10.0.0.1:1234"
         assert str(p.dst) == "10.0.0.2:80"
 
-    def test_flow_key_at_receiver(self):
-        p = make_tcp()
-        fk = p.flow_key_at_receiver()
-        assert fk.local == p.dst
-        assert fk.remote == p.src
-
     def test_copy_is_deep_for_tcp_header(self):
         p = make_tcp()
         q = p.copy()
         q.tcp.seq = 9999
         assert p.tcp.seq == 1000
         assert q.pkt_id != p.pkt_id
+
+    @pytest.mark.parametrize("make", [make_tcp, make_udp])
+    def test_new_packet_and_copy_set_every_field_like_the_constructor(self, make):
+        p = make(dst_cache_ip=IPAddr("10.0.0.3"), sent_at=1.5) if make is make_tcp else make()
+        p.checksum = 7
+        init = [f.name for f in dataclasses.fields(Packet) if f.init and f.name != "pkt_id"]
+        built = new_packet(*(getattr(p, name) for name in init))
+        for q in (built, p.copy()):
+            assert q.pkt_id > p.pkt_id
+            for f in dataclasses.fields(Packet):
+                if f.name not in ("pkt_id", "wire_seq"):
+                    assert getattr(q, f.name) == getattr(p, f.name), f.name
 
     def test_ctl_proto_allowed(self):
         p = Packet(

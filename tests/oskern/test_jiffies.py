@@ -44,11 +44,6 @@ class TestJiffiesClock:
         with pytest.raises(ValueError):
             a.delta_to(b)
 
-    def test_to_seconds(self):
-        env = Environment()
-        clk = JiffiesClock(env)
-        assert clk.to_seconds(250) == pytest.approx(2.5)
-
     def test_invalid_params(self):
         env = Environment()
         with pytest.raises(ValueError):

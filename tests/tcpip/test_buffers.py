@@ -51,12 +51,6 @@ class TestWriteQueue:
         with pytest.raises(ValueError):
             q.append(skb(50, 10))
 
-    def test_bytes_in_flight(self):
-        q = WriteQueue()
-        q.append(skb(0, 100))
-        q.append(skb(100, 44))
-        assert q.bytes_in_flight() == 144
-
     def test_clear(self):
         q = WriteQueue()
         q.append(skb(0, 10))

@@ -25,12 +25,21 @@ class TestEhash:
     def test_collision_rejected(self):
         t = SocketTables()
         t.ehash_insert(fk(), "a")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ehash collision for tcp:203.0.113.10:27960<->198.51.100.1:1000"):
             t.ehash_insert(fk(), "b")
+        assert t.ehash_lookup(fk()) == "a"
 
     def test_remove_missing_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not in ehash"):
             SocketTables().ehash_remove(fk())
+
+    def test_keyed_by_the_receivers_four_tuple(self):
+        """The receive path looks the socket up straight from a packet's
+        header: (dst ip, dst port, src ip, src port)."""
+        t = SocketTables()
+        t.ehash_insert(fk(), "sock")
+        assert t.ehash == {(IPAddr("203.0.113.10"), 27960, IPAddr("198.51.100.1"), 1000): "sock"}
+        assert t.ehash_lookup(fk(1001)) is None
 
 
 class TestBhash:
