@@ -83,9 +83,6 @@ class Environment:
         self.tracer = tracer
         return self.tracer
 
-    def disable_tracing(self) -> None:
-        self.tracer = NULL_TRACER
-
     @property
     def metrics(self) -> Optional[MetricsRegistry]:
         """The metrics registry, or ``None`` when metrics are disabled.

@@ -225,9 +225,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self._faults)
 
-    def of_kind(self, kind: str) -> list[Fault]:
-        return [f for f in self if f.kind == kind]
-
     def describe(self) -> str:
         """The plan in DSL form, one fault per line (round-trips through
         :func:`repro.faults.dsl.parse_plan`)."""

@@ -242,7 +242,7 @@ class Conductor:
             self.host.control.send(
                 peer.local_ip, CONDUCTOR_PORT, {"op": "leave"}, size=32
             )
-        self.peers._peers.clear()  # stop heartbeating to anyone
+        self.peers.clear()  # stop heartbeating to anyone
         self.host.control.unregister(CONDUCTOR_PORT)
 
     def load_info(self) -> LoadInfo:

@@ -41,6 +41,10 @@ class PeerDatabase:
             raise ValueError("stale timeout must be positive")
         self.stale_timeout = stale_timeout
         self._peers: dict[IPAddr, LoadInfo] = {}
+        #: The peers' addresses sorted by node name; ``None`` after a
+        #: membership change until :meth:`peers` rebuilds it.  A
+        #: heartbeat from a known peer keeps the order.
+        self._order: list[IPAddr] | None = []
         #: ip -> timestamp of the heartbeat it was pruned with.  A pruned
         #: peer's *old* heartbeats may still be in flight; without the
         #: tombstone a late replay would resurrect the dead entry (and a
@@ -65,11 +69,19 @@ class PeerDatabase:
             del self._pruned[info.local_ip]
         current = self._peers.get(info.local_ip)
         if current is None or info.timestamp >= current.timestamp:
+            if current is None or current.node_name != info.node_name:
+                self._order = None
             self._peers[info.local_ip] = info
 
     def remove(self, ip: IPAddr) -> None:
-        self._peers.pop(ip, None)
+        if self._peers.pop(ip, None) is not None:
+            self._order = None
         self._pruned.pop(ip, None)
+
+    def clear(self) -> None:
+        """Forget every peer (tombstones stay)."""
+        self._peers.clear()
+        self._order = None
 
     def prune_stale(self, now: float) -> list[LoadInfo]:
         """Drop peers whose heartbeat lapsed; returns the departed."""
@@ -81,11 +93,20 @@ class PeerDatabase:
         for info in gone:
             del self._peers[info.local_ip]
             self._pruned[info.local_ip] = info.timestamp
+        if gone:
+            self._order = None
         self.stale_total += len(gone)
         return gone
 
     def peers(self) -> list[LoadInfo]:
-        return sorted(self._peers.values(), key=lambda i: i.node_name)
+        """The latest heartbeat of every peer, sorted by node name."""
+        order = self._order
+        if order is None:
+            infos = sorted(self._peers.values(), key=lambda i: i.node_name)
+            self._order = [i.local_ip for i in infos]
+            return infos
+        peers = self._peers
+        return [peers[ip] for ip in order]
 
     def partition_fresh(
         self, now: float, window: float

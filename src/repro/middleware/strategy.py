@@ -9,6 +9,9 @@ loop.  This module splits it into three replaceable layers:
   heartbeat is older than ``ConductorConfig.plan_staleness`` are
   reported but never ranked), failure-detector verdicts, per-process
   CPU shares, admission headroom and a rolling per-node load history.
+  The costly fields are computed on first read, and the planner forces
+  the unread ones before anything can change them, so a round pays only
+  for what its strategy reads and still sees one snapshot.
 - :class:`Strategy` — consumes a model, emits a ranked
   :class:`MigrationPlan` of :class:`MigrationAction`\\ s
   ``(proc, source, candidates, score, not_before)``.  Strategies are
@@ -47,9 +50,9 @@ Authoring guide: docs/strategies.md.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from .detector import ALIVE
 from .loadinfo import LoadInfo
@@ -120,6 +123,12 @@ class ClusterModel:
     peers are never candidates (they are listed in ``asleep_peers``).
     ``average`` is the paper's approximation over all known *awake*
     peers plus the local node, as the pre-refactor loop computed it.
+
+    The planner builds ``peers``, ``stale_peers``, ``asleep_peers``,
+    ``shares`` and ``history`` on first read (:meth:`lazy`) and
+    :meth:`force`\\ s the rest before the round can yield, so every
+    field describes the same instant.  Constructed directly, a model
+    holds the values it was given.
     """
 
     now: float
@@ -155,6 +164,49 @@ class ClusterModel:
     def overload(self) -> float:
         """Local excess over the cluster average (may be negative)."""
         return self.local.cpu_percent - self.average
+
+    @classmethod
+    def lazy(
+        cls, thunks: dict[str, Callable[[], Any]], **fields: Any
+    ) -> "ClusterModel":
+        """A model whose fields named in ``thunks`` are computed by them
+        on first read; ``fields`` gives every other field."""
+        model = cls.__new__(cls)
+        vars(model).update(fields)
+        model._thunks = thunks
+        return model
+
+    def force(self) -> None:
+        """Compute every field not read yet, so that later changes to
+        the node and its peers cannot reach this snapshot."""
+        for name in list(getattr(self, "_thunks", ())):
+            getattr(self, name)
+
+
+class _Lazy:
+    """A :class:`ClusterModel` field computed on first read.
+
+    A non-data descriptor: the computed value goes into the instance
+    dict, which shadows the descriptor from then on — as does the value
+    a directly constructed model is given.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            return self
+        value = model._thunks.pop(self.name)()
+        vars(model)[self.name] = value
+        return value
+
+
+# Installed after the dataclass is built, which would otherwise take a
+# class attribute for the field's default.
+for _name in ("peers", "stale_peers", "asleep_peers", "shares", "history"):
+    setattr(ClusterModel, _name, _Lazy(_name))
+del _name
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +816,9 @@ class Planner:
             if cfg.plan_staleness is not None
             else cfg.peer_stale_timeout
         )
-        self._history: dict[str, deque] = {}
+        self._history: defaultdict[str, deque] = defaultdict(
+            lambda: deque(maxlen=HISTORY_SAMPLES)
+        )
         self._deferred: list[MigrationAction] = []
         # planner.* counters.
         self.plans_total = 0
@@ -800,7 +854,12 @@ class Planner:
 
     # -- model building ----------------------------------------------------
     def build_model(self, local: float, average: float) -> ClusterModel:
-        """Snapshot the cluster as this round's strategies may see it."""
+        """Snapshot the cluster as this round's strategies may see it.
+
+        The peer views, process shares and history copy are built on
+        first read: a quiet round reads none of them.  The caller
+        :meth:`~ClusterModel.force`\\ s the model before it yields.
+        """
         cond = self.cond
         now = self.env.now
         fresh_infos, stale_infos = cond.peers.partition_fresh(
@@ -808,17 +867,21 @@ class Planner:
         )
         self.stale_skipped_total += len(stale_infos)
         awake_infos = [i for i in fresh_infos if not i.asleep]
+        health = cond.detector.state
 
-        def view(info: LoadInfo) -> NodeView:
-            return NodeView(
-                name=info.node_name,
-                ip=info.local_ip,
-                cpu_percent=info.cpu_percent,
-                nprocs=info.nprocs,
-                heartbeat_age=info.age(now),
-                health=cond.detector.state(info.local_ip),
-                asleep=info.asleep,
-            )
+        def views(infos: list[LoadInfo]) -> Callable[[], list[NodeView]]:
+            return lambda: [
+                NodeView(
+                    name=info.node_name,
+                    ip=info.local_ip,
+                    cpu_percent=info.cpu_percent,
+                    nprocs=info.nprocs,
+                    heartbeat_age=info.age(now),
+                    health=health(info.local_ip),
+                    asleep=info.asleep,
+                )
+                for info in infos
+            ]
 
         local_view = NodeView(
             name=cond.host.name,
@@ -830,37 +893,33 @@ class Planner:
             is_self=True,
             asleep=cond.asleep,
         )
-        shares = cond.monitor.process_shares(
-            [p for p in cond.managed if p not in cond._outbound]
-        )
         sequential = cond.config.admission_capacity == 1
-        return ClusterModel(
+        return ClusterModel.lazy(
+            {
+                "peers": views(awake_infos),
+                "stale_peers": views(stale_infos),
+                "asleep_peers": views([i for i in fresh_infos if i.asleep]),
+                "shares": lambda: cond.monitor.process_shares(
+                    [p for p in cond.managed if p not in cond._outbound]
+                ),
+                "history": lambda: {
+                    k: tuple(v) for k, v in self._history.items()
+                },
+            },
             now=now,
             local=local_view,
-            peers=[view(i) for i in awake_infos],
-            stale_peers=[view(i) for i in stale_infos],
             peer_infos=awake_infos,
             average=average,
-            shares=shares,
             max_actions=1 if sequential else cond.admission.available,
             sequential=sequential,
             config=cond.config.policies,
-            history={k: tuple(v) for k, v in self._history.items()},
-            asleep_peers=[view(i) for i in fresh_infos if i.asleep],
         )
 
     def _record_history(self, local: float) -> None:
-        now = self.env.now
-
-        def series(name: str) -> deque:
-            s = self._history.get(name)
-            if s is None:
-                s = self._history[name] = deque(maxlen=HISTORY_SAMPLES)
-            return s
-
-        series(self.cond.host.name).append((now, local))
+        history = self._history
+        history[self.cond.host.name].append((self.env.now, local))
         for info in self.cond.peers.peers():
-            s = series(info.node_name)
+            s = history[info.node_name]
             if not s or s[-1][0] < info.timestamp:
                 s.append((info.timestamp, info.cpu_percent))
 
@@ -868,14 +927,10 @@ class Planner:
     def round(self):
         """One balance round (generator; the conductor yields from it)."""
         cond = self.cond
-        self._record_history(cond.monitor.current_load())
-        if (
-            cond.admission.busy
-            or cond.admission.calming
-            or not cond.peers.peers()
-        ):
-            return
         local = cond.monitor.current_load()
+        self._record_history(local)
+        if cond.admission.busy or cond.admission.calming or not cond.peers:
+            return
         average = cond.peers.cluster_average(local)
         model = self.build_model(local, average)
         if self._deferred:
@@ -891,6 +946,9 @@ class Planner:
         self.plans_total += 1
         self.actions_total += len(plan.actions)
         self._trace_plan(plan)
+        # Executing changes shares and detector verdicts: freeze the
+        # snapshot first.
+        model.force()
         if model.sequential:
             yield from self._execute_sequential(plan.actions, model)
         else:
@@ -957,6 +1015,9 @@ class Planner:
         due = [a for a in self._deferred if a.not_before <= model.now]
         if not due:
             return
+        # Revalidation after the first migration still judges the
+        # round's snapshot.
+        model.force()
         self._deferred = [a for a in self._deferred if a.not_before > model.now]
         for action in due:
             ok, reason = self._still_valid(action, model)

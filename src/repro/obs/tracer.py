@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 __all__ = [
     "TraceEvent",
@@ -369,8 +369,3 @@ def assemble_spans(
     if name is not None:
         out = [s for s in out if s.name == name]
     return out
-
-
-def iter_point_events(events: list[TraceEvent]) -> Iterator[TraceEvent]:
-    """Only the point events of a stream (no span edges)."""
-    return (e for e in events if e.kind == "event")

@@ -27,7 +27,7 @@ from ..net import (
     Packet,
     UDP_HEADER_BYTES,
 )
-from ..net.packet import reserve_packet_ids
+from ..net.packet import new_packet, reserve_packet_ids, transport_checksum
 from .costs import CostModel
 from .kernel import Kernel
 
@@ -40,7 +40,7 @@ class RpcError(Exception):
     """Raised into an RPC waiter when the handler reports failure."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CtlEnvelope:
     """Framing for control-plane messages."""
 
@@ -73,24 +73,40 @@ class ControlPlane:
         self._handlers.pop(port, None)
 
     # -- sending ---------------------------------------------------------------
-    def _transmit(self, dst_ip: IPAddr, port: int, envelope: CtlEnvelope, size: int) -> None:
+    def _transmit(
+        self,
+        dst_ip: IPAddr,
+        port: int,
+        body: Any,
+        size: int,
+        rpc_id: Optional[int] = None,
+        reply_to: Optional[int] = None,
+        is_error: bool = False,
+    ) -> None:
+        """Frame ``body`` from the interface that routes to ``dst_ip`` and
+        transmit it (one route lookup; the envelope's source is that
+        interface's address)."""
         iface = self.kernel.route(dst_ip)
-        pkt = Packet(
-            src_ip=iface.ip,
-            dst_ip=dst_ip,
-            proto=PROTO_CTL,
-            sport=port,
-            dport=port,
-            payload_size=max(size, 1) + self.kernel.costs.ctl_overhead_bytes,
-            payload=envelope,
-            sent_at=self.env.now,
-        ).seal()
+        src_ip = iface.ip
+        pkt = new_packet(
+            src_ip,
+            dst_ip,
+            PROTO_CTL,
+            port,
+            port,
+            max(size, 1) + self.kernel.costs.ctl_overhead_bytes,
+            CtlEnvelope(body, src_ip, rpc_id, reply_to, is_error),
+            None,
+            0,
+            self.env.now,
+            None,
+        )
+        pkt.checksum = transport_checksum(pkt)
         iface.transmit(pkt)
 
     def send(self, dst_ip: IPAddr, port: int, body: Any, size: int = 256) -> None:
         """Fire-and-forget message."""
-        env = CtlEnvelope(body=body, src_ip=self._src_ip(dst_ip))
-        self._transmit(dst_ip, port, env, size)
+        self._transmit(dst_ip, port, body, size)
 
     def send_train(self, dst_ip: IPAddr, port: int, body: Any, size: int, count: int) -> None:
         """``count`` back-to-back copies of the one-way message ``body``
@@ -131,8 +147,7 @@ class ControlPlane:
         rpc_id = next(_rpc_ids)
         ev = Event(self.env)
         self._pending[rpc_id] = ev
-        env = CtlEnvelope(body=body, src_ip=self._src_ip(dst_ip), rpc_id=rpc_id)
-        self._transmit(dst_ip, port, env, size)
+        self._transmit(dst_ip, port, body, size, rpc_id=rpc_id)
         if timeout is not None:
             timer = self.env.timeout(timeout)
 
@@ -143,9 +158,6 @@ class ControlPlane:
 
             timer.callbacks.append(expire)
         return ev
-
-    def _src_ip(self, dst_ip: IPAddr) -> IPAddr:
-        return self.kernel.route(dst_ip).ip
 
     # -- receiving -----------------------------------------------------------------
     def dispatch(self, packet: Packet) -> None:
@@ -170,13 +182,7 @@ class ControlPlane:
             port = packet.dport
 
             def respond(body: Any, size: int = 256, error: bool = False) -> None:
-                reply = CtlEnvelope(
-                    body=body,
-                    src_ip=self._src_ip(src),
-                    reply_to=rpc_id,
-                    is_error=error,
-                )
-                self._transmit(src, port, reply, size)
+                self._transmit(src, port, body, size, reply_to=rpc_id, is_error=error)
 
         handler(envelope.body, envelope.src_ip, respond)
 

@@ -7,6 +7,12 @@ of clients in the zone (Section VI-C), so a fluid model suffices: each
 process declares a demand (fraction of one core, piecewise-constant in
 time) and the scheduler integrates granted CPU time, scaling everything
 down proportionally when the node saturates.
+
+The total demand is kept as ``sum`` over the demands, recomputed only
+when a demand changes, so load queries (``utilization``,
+``total_demand``, ``cpu_share_of``) cost no sum and no integration:
+granted CPU time is integrated at demand changes and when
+``cpu_time_of`` reads it.
 """
 
 from __future__ import annotations
@@ -34,14 +40,19 @@ class CpuAccounting:
         #: pid -> accumulated CPU seconds actually granted.
         self._cpu_time: Dict[int, float] = {}
         self._last_update = env.now
+        self._retotal()
 
     # -- internal ------------------------------------------------------------
+    def _retotal(self) -> None:
+        """Recompute the cached total demand; called on every change."""
+        self._total = sum(self._demand.values())
+
     def _integrate(self) -> None:
         """Accrue CPU time for the interval since the last state change."""
         now = self.env.now
         dt = now - self._last_update
         if dt > 0:
-            total = sum(self._demand.values())
+            total = self._total
             scale = 1.0 if total <= self.cores else self.cores / total
             for pid, d in self._demand.items():
                 if d > 0:
@@ -53,8 +64,13 @@ class CpuAccounting:
         """Declare ``proc``'s CPU demand from now on."""
         if demand < 0:
             raise ValueError("demand must be non-negative")
+        # A throttled process's entry differs from its declared demand,
+        # so re-declaring that demand still un-throttles it.
+        if self._demand.get(proc.pid) == demand and proc.cpu_demand == demand:
+            return
         self._integrate()
         self._demand[proc.pid] = demand
+        self._retotal()
         self._cpu_time.setdefault(proc.pid, 0.0)
         proc.cpu_demand = demand
 
@@ -62,12 +78,14 @@ class CpuAccounting:
         """Drop a process (exit or migration away)."""
         self._integrate()
         self._demand.pop(proc.pid, None)
+        self._retotal()
 
     def adopt(self, proc: "SimProcess") -> None:
         """Take over accounting for an in-migrated process, keeping the
         demand it declared on the source node."""
         self._integrate()
         self._demand[proc.pid] = proc.cpu_demand
+        self._retotal()
         self._cpu_time.setdefault(proc.pid, 0.0)
 
     def set_throttle(self, proc: "SimProcess", share: float) -> None:
@@ -81,6 +99,7 @@ class CpuAccounting:
         self._integrate()
         if proc.pid in self._demand:
             self._demand[proc.pid] = proc.cpu_demand * share
+            self._retotal()
         proc.cpu_throttle = share
 
     # -- queries --------------------------------------------------------------
@@ -90,12 +109,11 @@ class CpuAccounting:
         return sum(1 for d in self._demand.values() if d > 0)
 
     def total_demand(self) -> float:
-        self._integrate()
-        return sum(self._demand.values())
+        return self._total
 
     def utilization(self) -> float:
         """Node CPU utilisation in percent of total capacity, capped at 100."""
-        return min(100.0, 100.0 * self.total_demand() / self.cores)
+        return min(100.0, 100.0 * self._total / self.cores)
 
     def demand_of(self, proc: "SimProcess") -> float:
         return self._demand.get(proc.pid, 0.0)
@@ -111,8 +129,7 @@ class CpuAccounting:
         This is the quantity the selection policy compares against the
         node-vs-cluster-average difference.
         """
-        self._integrate()
         d = self._demand.get(proc.pid, 0.0)
-        total = sum(self._demand.values())
+        total = self._total
         scale = 1.0 if total <= self.cores else self.cores / total
         return 100.0 * d * scale / self.cores

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from ..des import Environment, Event
 from .fdtable import FDTable
@@ -143,9 +143,16 @@ class SimProcess:
         self.state = ProcessState.EXITED
         self.kernel.remove_process(self)
 
-    def check_frozen(self) -> Generator:
+    def check_frozen(self) -> Iterable:
         """``yield from`` this at loop tops of application code: blocks
-        while the process is frozen, no-ops otherwise."""
+        while the process is frozen, no-ops otherwise.  A running
+        process gets an empty tuple, so the common case builds no
+        generator."""
+        if self.state != ProcessState.FROZEN:
+            return ()
+        return self._wait_thaw()
+
+    def _wait_thaw(self) -> Generator:
         while self.state == ProcessState.FROZEN:
             assert self._thaw_event is not None
             yield self._thaw_event

@@ -23,10 +23,6 @@ class TestPlan:
         assert [f.at for f in plan] == [0.5, 1.0, 5.0]
         assert len(plan) == 3
 
-    def test_of_kind(self):
-        plan = FaultPlan([NodeCrash(1.0, "a"), NodeCrash(2.0, "b"), NodeStall(0.5, "c")])
-        assert [f.target for f in plan.of_kind("crash")] == ["a", "b"]
-
     def test_rejects_negative_time_and_non_faults(self):
         with pytest.raises(ValueError):
             FaultPlan([NodeCrash(-1.0, "node1")])

@@ -103,7 +103,7 @@ class TestLeave:
         dead = conductors[2]
         dead.enabled = False
         # Silence its outgoing heartbeats by clearing its peer list.
-        dead.peers._peers.clear()
+        dead.peers.clear()
         run_for(cluster, 10.0)
         for c in conductors[:2]:
             assert cluster.nodes[2].local_ip not in c.peers
@@ -122,7 +122,7 @@ class TestLeave:
 
         cluster.nodes[2].control.unregister(CONDUCTOR_PORT)
         conductors[2].enabled = False
-        conductors[2].peers._peers.clear()
+        conductors[2].peers.clear()
         run_for(cluster, 10.0)
         # node1 overloads; the only candidate must be node2.
         for k in range(4):

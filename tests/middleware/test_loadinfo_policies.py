@@ -65,6 +65,44 @@ class TestPeerDatabase:
         db.remove(IPAddr("192.168.0.2"))
         assert len(db) == 0
 
+    def test_clear_forgets_every_peer(self):
+        db = PeerDatabase()
+        db.update(info("node2", 40))
+        db.update(info("node3", 60))
+        assert [i.node_name for i in db.peers()] == ["node2", "node3"]
+        db.clear()
+        assert len(db) == 0
+        assert db.peers() == []
+        db.update(info("node4", 10, ts=1))
+        assert [i.node_name for i in db.peers()] == ["node4"]
+
+    def test_peers_follow_membership_and_latest_heartbeats(self):
+        # peers() keeps its name order across heartbeats and rebuilds it
+        # on every membership change: join, leave, prune, clear.
+        db = PeerDatabase(stale_timeout=5)
+        db.update(info("node3", 30, ts=0))
+        db.update(info("node2", 20, ts=0))
+        assert [(i.node_name, i.cpu_percent) for i in db.peers()] == [
+            ("node2", 20),
+            ("node3", 30),
+        ]
+        db.update(info("node3", 35, ts=1))
+        db.update(info("node4", 40, ts=1))
+        assert [(i.node_name, i.cpu_percent) for i in db.peers()] == [
+            ("node2", 20),
+            ("node3", 35),
+            ("node4", 40),
+        ]
+        db.remove(IPAddr("192.168.0.3"))
+        assert [i.node_name for i in db.peers()] == ["node2", "node4"]
+        db.prune_stale(now=5.5)
+        assert [i.node_name for i in db.peers()] == ["node4"]
+        db.update(info("node2", 25, ts=6))
+        assert [(i.node_name, i.cpu_percent) for i in db.peers()] == [
+            ("node2", 25),
+            ("node4", 40),
+        ]
+
     def test_invalid_timeout(self):
         with pytest.raises(ValueError):
             PeerDatabase(stale_timeout=0)

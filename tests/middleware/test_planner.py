@@ -3,14 +3,19 @@ staleness guard, deferred actions, and the edge cases of the decision
 plane (single node, all peers stale, zero-action plans, capacity races).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import build_cluster
 from repro.core import LiveMigrationConfig
 from repro.middleware import (
+    CONDUCTOR_PORT,
+    ClusterModel,
     ConductorConfig,
     MigrationAction,
     MigrationPlan,
+    NodeView,
     PolicyConfig,
     Strategy,
     install_conductor,
@@ -245,3 +250,196 @@ class TestAdmissionRace:
         overload_node1(cluster, conductors, n=6)
         run_for(cluster, 30.0)
         assert conductors[0].migrations_initiated >= 2
+
+
+def eager_model(planner, local, average):
+    """The model as an eager build takes it: every field computed now."""
+    cond = planner.cond
+    now = cond.env.now
+    fresh, stale = cond.peers.partition_fresh(now, planner.staleness)
+
+    def view(info):
+        return NodeView(
+            name=info.node_name,
+            ip=info.local_ip,
+            cpu_percent=info.cpu_percent,
+            nprocs=info.nprocs,
+            heartbeat_age=info.age(now),
+            health=cond.detector.state(info.local_ip),
+            asleep=info.asleep,
+        )
+
+    awake = [i for i in fresh if not i.asleep]
+    sequential = cond.config.admission_capacity == 1
+    return ClusterModel(
+        now=now,
+        local=NodeView(
+            name=cond.host.name,
+            ip=cond.host.local_ip,
+            cpu_percent=local,
+            nprocs=len(cond.managed),
+            heartbeat_age=0.0,
+            is_self=True,
+            asleep=cond.asleep,
+        ),
+        peers=[view(i) for i in awake],
+        stale_peers=[view(i) for i in stale],
+        peer_infos=awake,
+        average=average,
+        shares=cond.monitor.process_shares(
+            [p for p in cond.managed if p not in cond._outbound]
+        ),
+        max_actions=1 if sequential else cond.admission.available,
+        sequential=sequential,
+        config=cond.config.policies,
+        history={k: tuple(v) for k, v in planner._history.items()},
+        asleep_peers=[view(i) for i in fresh if i.asleep],
+    )
+
+
+class TwoDeferredStrategy(Strategy):
+    """Plans two actions due at the same instant, once.  When the second
+    is revalidated and reranked — after the first has migrated — it
+    records what the model says next to what the live state said when
+    the round began."""
+
+    name = "test-two-deferred"
+
+    def __init__(self, cond):
+        self.cond = cond
+        self.planned = False
+        self.calls = 0
+        self.seen = {}
+
+    def plan(self, model):
+        plan = MigrationPlan(self.name, model.now)
+        if self.planned or model.overload < 5.0:
+            return plan
+        self.planned = True
+        for proc, share in model.shares[:2]:
+            plan.actions.append(
+                MigrationAction(
+                    proc,
+                    model.local.name,
+                    tuple(model.peer_infos),
+                    score=share,
+                    not_before=model.now + 2.0,
+                )
+            )
+        return plan
+
+    def revalidate(self, action, model):
+        self.calls += 1
+        cond = self.cond
+        if self.calls == 1:
+            # The round has not yielded yet: take the live state, and
+            # leave every lazy field of the model unread.
+            self.first = action.proc
+            self.live = eager_model(cond.planner, model.local.cpu_percent, model.average)
+        else:
+            self.seen["first_managed"] = self.first in cond.managed
+            self.seen["shares"] = model.shares
+            self.seen["history"] = model.history
+        return True
+
+    def rerank(self, action, model):
+        if self.calls > 1:
+            self.seen["peers"] = model.peers
+        return action.candidates
+
+
+class TestLazyModel:
+    def test_quiet_round_builds_no_peer_views_or_shares(self, monkeypatch):
+        import repro.middleware.strategy as strategy_module
+        from repro.middleware.monitor import LoadMonitor
+
+        counts = {"builds": 0, "shares": 0, "peer_views": 0}
+        build_model = strategy_module.Planner.build_model
+        process_shares = LoadMonitor.process_shares
+
+        def counting_build(planner, *args):
+            counts["builds"] += 1
+            return build_model(planner, *args)
+
+        def counting_shares(monitor, procs):
+            counts["shares"] += 1
+            return process_shares(monitor, procs)
+
+        class CountingView(NodeView):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if not self.is_self:
+                    counts["peer_views"] += 1
+
+        monkeypatch.setattr(strategy_module.Planner, "build_model", counting_build)
+        monkeypatch.setattr(LoadMonitor, "process_shares", counting_shares)
+        monkeypatch.setattr(strategy_module, "NodeView", CountingView)
+        cluster, conductors = build()
+        for i, node in enumerate(cluster.nodes):
+            conductors[i].manage(spawn_worker(node, 1.0, name=f"zs{i}"))
+        run_for(cluster, 15.0)
+        assert counts["builds"] > 20
+        assert counts["shares"] == 0
+        assert counts["peer_views"] == 0
+        assert all(c.planner.plans_total == 0 for c in conductors)
+
+    def test_lazy_fields_equal_an_eager_build(self):
+        cluster, conductors = build(n_nodes=4, plan_staleness=1.5)
+        overload_node1(cluster, conductors)
+        conductors[2].asleep = True
+        run_for(cluster, 3.0)
+        # node4's conductor dies: suspect, then stale, before it is pruned.
+        cluster.nodes[3].control.unregister(CONDUCTOR_PORT)
+        conductors[3].enabled = False
+        conductors[3].peers.clear()
+        run_for(cluster, 3.5)
+        cond = conductors[0]
+        local = cond.monitor.current_load()
+        average = cond.peers.cluster_average(local)
+        lazy = cond.planner.build_model(local, average)
+        eager = eager_model(cond.planner, local, average)
+        for f in dataclasses.fields(ClusterModel):
+            assert getattr(lazy, f.name) == getattr(eager, f.name), f.name
+        assert lazy == eager
+        # The snapshot is not trivially empty.
+        assert [v.name for v in eager.stale_peers] == ["node4"]
+        assert eager.stale_peers[0].health == "suspect"
+        assert [v.name for v in eager.asleep_peers] == ["node3"]
+        assert [v.name for v in eager.peers] == ["node2"]
+        assert eager.shares and eager.history["node1"]
+
+    def test_force_computes_every_unread_field(self):
+        cluster, conductors = build()
+        overload_node1(cluster, conductors)
+        run_for(cluster, 3.0)
+        cond = conductors[0]
+        local = cond.monitor.current_load()
+        model = cond.planner.build_model(local, cond.peers.cluster_average(local))
+        lazy_fields = {"peers", "stale_peers", "asleep_peers", "shares", "history"}
+        assert lazy_fields.isdisjoint(vars(model))
+        shares = model.shares
+        model.force()
+        assert lazy_fields <= vars(model).keys()
+        assert model.shares is shares
+        # A directly constructed model has nothing to force.
+        eager_model(cond.planner, local, model.average).force()
+
+    def test_deferred_round_judges_the_pre_yield_snapshot(self):
+        cluster, conductors = build(admission_capacity=2)
+        cond = conductors[0]
+        strategy = TwoDeferredStrategy(cond)
+        cond.planner.strategy = strategy
+        procs = overload_node1(cluster, conductors)
+        run_for(cluster, 30.0)
+        assert strategy.calls >= 2
+        seen = strategy.seen
+        # The first action migrated (the round yielded into
+        # _try_migrate), yet the second still sees the round's snapshot:
+        # the migrated process with its share, the round's history and
+        # peer views.
+        assert not seen["first_managed"]
+        assert strategy.first in procs
+        assert seen["shares"] == strategy.live.shares
+        assert strategy.first in [p for p, _ in seen["shares"]]
+        assert seen["history"] == strategy.live.history
+        assert seen["peers"] == strategy.live.peers

@@ -4,7 +4,7 @@ import pytest
 
 from repro.des import Environment
 from repro.obs import NULL_TRACER, Span, TraceEvent, Tracer
-from repro.obs.tracer import assemble_spans, iter_point_events
+from repro.obs.tracer import assemble_spans
 
 
 @pytest.fixture
@@ -78,11 +78,6 @@ class TestTracer:
         assert env.enable_tracing(mine) is mine
         assert env.tracer is mine
 
-    def test_disable_restores_null(self, env):
-        env.enable_tracing()
-        env.disable_tracing()
-        assert env.tracer is NULL_TRACER
-
 
 class TestNullTracer:
     def test_default_and_noop(self, env):
@@ -110,14 +105,6 @@ class TestEventSerialization:
         events = [TraceEvent.from_dict(x.to_dict()) for x in (b, e)]
         (span,) = assemble_spans(events)
         assert span == Span("phase", 3, 1.0, 2.0, {"n": 1})
-
-    def test_iter_point_events_skips_edges(self):
-        events = [
-            TraceEvent(0.0, "p", "begin", 1, {}),
-            TraceEvent(0.5, "x", "event", None, {}),
-            TraceEvent(1.0, "p", "end", 1, {}),
-        ]
-        assert [e.name for e in iter_point_events(events)] == ["x"]
 
 
 class TestRingBuffer:

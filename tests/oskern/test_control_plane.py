@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import build_cluster
-from repro.oskern import RpcError
+from repro.net import PROTO_CTL, Packet
+from repro.oskern import CtlEnvelope, RpcError
 
 
 @pytest.fixture
@@ -94,3 +95,70 @@ class TestControlPlane:
         cluster.nodes[0].control.send(cluster.db.local_ip, 3306, "query")
         cluster.env.run()
         assert inbox == ["query"]
+
+
+class TestControlPacket:
+    """Control-plane packets are built without ``Packet.__post_init__``;
+    each must still equal the packet the validating constructor builds."""
+
+    def capture(self, host, monkeypatch):
+        """``[(packet, send time), ...]`` of what ``host`` transmits."""
+        sent = []
+        iface = host.kernel.local_iface
+        transmit = iface.transmit
+
+        def record(pkt):
+            sent.append((pkt, host.env.now))
+            return transmit(pkt)
+
+        monkeypatch.setattr(iface, "transmit", record)
+        return sent
+
+    def assert_built_like_packet(self, host, sent, size, **envelope):
+        pkt, now = sent
+        iface = host.kernel.route(pkt.dst_ip)
+        ref = Packet(
+            src_ip=iface.ip,
+            dst_ip=pkt.dst_ip,
+            proto=PROTO_CTL,
+            sport=9000,
+            dport=9000,
+            payload_size=max(size, 1) + host.kernel.costs.ctl_overhead_bytes,
+            payload=CtlEnvelope(src_ip=iface.ip, **envelope),
+            sent_at=now,
+        ).seal()
+        # ``pkt_id`` comes from the one counter; ``wire_seq`` is the
+        # link's stamp on a transmitted packet.
+        for name in set(Packet.__slots__) - {"pkt_id", "wire_seq"}:
+            assert getattr(pkt, name) == getattr(ref, name), name
+        assert pkt.checksum_ok()
+        return ref
+
+    def test_send_rpc_and_reply_packets(self, cluster, monkeypatch):
+        n1, n2 = cluster.nodes[0], cluster.nodes[1]
+        out1 = self.capture(n1, monkeypatch)
+        out2 = self.capture(n2, monkeypatch)
+        n2.control.register(9000, lambda b, s, respond: respond and respond("no", size=0, error=True))
+
+        n1.control.send(n2.local_ip, 9000, {"hello": 1}, size=64)
+        ref = self.assert_built_like_packet(n1, out1[0], 64, body={"hello": 1})
+        assert ref.pkt_id == out1[0][0].pkt_id + 1
+
+        caught = []
+
+        def caller():
+            try:
+                yield n1.control.rpc(n2.local_ip, 9000, "ping", size=32)
+            except RpcError as exc:
+                caught.append(str(exc))
+
+        cluster.env.process(caller())
+        cluster.env.run()
+        assert caught == ["no"]
+        rpc_id = out1[1][0].payload.rpc_id
+        assert rpc_id is not None
+        self.assert_built_like_packet(n1, out1[1], 32, body="ping", rpc_id=rpc_id)
+        (reply,) = out2
+        self.assert_built_like_packet(
+            n2, reply, 0, body="no", reply_to=rpc_id, is_error=True
+        )
