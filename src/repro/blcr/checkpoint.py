@@ -11,6 +11,7 @@ dump is exactly what the freeze-phase leader transfers.
 from __future__ import annotations
 
 from ..oskern import PAGE_SIZE, SimProcess
+from ..oskern.memory import PageBatch
 from .image import CheckpointImage
 
 __all__ = [
@@ -35,15 +36,16 @@ def dump_memory_map(proc: SimProcess) -> tuple[list, int]:
     return records, VMA_RECORD_BYTES * len(records)
 
 
-def dump_pages(proc: SimProcess, dirty_only: bool = False) -> tuple[dict[int, int], int]:
-    """Page dump: {vpn: version} + serialized size; clears dirty bits
-    for the dumped set (this is the incremental-checkpoint primitive).
+def dump_pages(proc: SimProcess, dirty_only: bool = False) -> tuple[PageBatch, int]:
+    """Page dump: a :class:`~repro.oskern.memory.PageBatch` of every
+    dumped page with its version, ascending, + serialized size; clears
+    dirty bits for the dumped set (this is the incremental-checkpoint
+    primitive).
 
-    Consumes the address space's run-length state natively: the page
-    record dict is expanded one run at a time (dirty extents intersected
-    with version runs) instead of one page-table lookup per page, and
-    the dirty bits are cleared wholesale — dirty pages are always a
-    subset of mapped pages, so both modes dump every dirty page.
+    The batch is copied out of the address space's page stores one run
+    at a time (dirty extents, or whole VMAs for a full dump), and the
+    dirty bits are cleared wholesale — dirty pages are always a subset
+    of mapped pages, so both modes dump every dirty page.
     """
     space = proc.address_space
     if dirty_only:

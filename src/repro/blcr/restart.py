@@ -14,11 +14,13 @@ Two modes:
 
 from __future__ import annotations
 
-from itertools import filterfalse
+from collections.abc import Mapping
 from typing import Optional
 
+import numpy as np
+
 from ..oskern import AddressSpace, FDTable, RegularFile, SimProcess, Thread
-from ..oskern.memory import ExtentSet
+from ..oskern.memory import ExtentSet, PageBatch
 from ..oskern.task import ProcessState
 from .image import CheckpointImage
 
@@ -56,7 +58,7 @@ def _rebuild_threads(thread_records: list) -> list[Thread]:
 def apply_image_state(
     proc: SimProcess,
     image: CheckpointImage,
-    staged_pages: Optional[dict[int, int]] = None,
+    staged_pages: Optional[Mapping] = None,
     staged_vmas: Optional[list] = None,
     absent_extents: Optional[list] = None,
 ) -> None:
@@ -64,7 +66,9 @@ def apply_image_state(
 
     ``staged_pages``/``staged_vmas`` carry the incremental updates the
     destination accumulated during precopy; the image's own sections are
-    the final freeze-phase deltas layered on top.
+    the final freeze-phase deltas layered on top.  Page payloads are
+    :class:`~repro.oskern.memory.PageBatch` objects (any
+    ``{vpn: version}`` mapping is converted).
 
     ``absent_extents`` (post-copy) lists page runs whose contents stay
     on the source: they are exempt from the completeness check, built as
@@ -74,9 +78,12 @@ def apply_image_state(
     vmas = image.section("memory_map").payload if image.has_section("memory_map") else staged_vmas
     if vmas is None:
         raise RestartError("no memory map available")
-    staged = staged_pages or {}
-    final = image.section("pages").payload if image.has_section("pages") else {}
-    # Every mapped page outside the absent extents must have arrived.
+    # The final deltas win over the staged updates.
+    pages = PageBatch.of(staged_pages or {}).ascending()
+    if image.has_section("pages"):
+        pages = pages.overlay(PageBatch.of(image.section("pages").payload))
+    # Every mapped page outside the absent extents must have arrived:
+    # per required run, its length minus the arrived pages inside it.
     # Pages of since-unmapped areas (free() during precopy) are simply
     # not read back, and absent pages start as version 0.
     required = ExtentSet()
@@ -84,19 +91,14 @@ def apply_image_state(
         required.add(start, end)
     for start, end in absent_extents or ():
         required.remove(start, end)
-    missing = 0
-    for start, end in required.extents():
-        not_staged = filterfalse(staged.__contains__, range(start, end))
-        missing += len(list(filterfalse(final.__contains__, not_staged)))
+    runs = np.array(required.extents(), np.int64).reshape(-1, 2)
+    arrived = np.searchsorted(pages.vpns, runs[:, 1]) - np.searchsorted(pages.vpns, runs[:, 0])
+    missing = len(required) - int(arrived.sum())
     if missing:
         raise RestartError(f"{missing} mapped pages never transferred")
 
     proc.address_space = AddressSpace()
-    # The final deltas win over the staged updates.
-    if staged:
-        proc.address_space.load_snapshot(list(vmas), staged, overlay=final)
-    else:
-        proc.address_space.load_snapshot(list(vmas), final)
+    proc.address_space.load_snapshot(list(vmas), pages)
     if absent_extents:
         proc.address_space.mark_absent(absent_extents)
     proc.fdtable = _rebuild_fdtable(image.section("files").payload)

@@ -12,9 +12,11 @@ Pages in this simulation carry *versions*, not contents, so both
 encodings are modelled on versions: version 0 is a never-written (zero)
 page, and the XBZRLE delta size grows with the number of writes since
 the cached copy (``xbzrle_delta_bytes`` per version step, capped at the
-full page).  The wire still carries the exact ``{vpn: version}`` dict —
+full page).  The wire still carries the exact page batch (a
+:class:`~repro.oskern.memory.PageBatch` of vpns and versions) —
 compression only changes the *accounted* bytes and CPU, which is all the
-simulation observes.
+simulation observes, and the compressor computes both with array
+operations over the whole batch.
 
 The compressor is attached to a :class:`~repro.core.migd.MigrationChannel`
 when the session's config asks for it; ``compression="none"`` attaches
@@ -26,9 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..blcr.checkpoint import PAGE_RECORD_OVERHEAD
 from ..oskern import PAGE_SIZE
 from ..oskern.costs import CostModel
+from ..oskern.memory import PageBatch
 
 __all__ = ["COMPRESSION_MODES", "CompressStats", "PageCompressor", "make_compressor"]
 
@@ -69,51 +74,50 @@ class PageCompressor:
         self.mode = mode
         self.costs = costs
         self.stats = CompressStats()
-        #: vpn -> version of the copy the destination already holds.
-        self._cache: dict[int, int] = {}
+        #: The copy of each page the destination already holds, as an
+        #: ascending batch; an absent page reads as version 0, which the
+        #: XBZRLE test ``0 < cached < version`` treats like absence.
+        self._cache = PageBatch.empty()
 
-    def compress(self, pages: dict[int, int]) -> tuple[int, float]:
+    def compress(self, pages: PageBatch) -> tuple[int, float]:
         """Account one page batch; returns ``(wire_bytes, cpu_cost)``.
 
         The batch itself still travels as-is (versions are the contents
-        here); only the byte/CPU accounting shrinks.
+        here); only the byte/CPU accounting shrinks.  Every page costs a
+        zero scan; a non-zero page whose cached copy is older costs an
+        XBZRLE encode too, and ships as the delta if that beats the full
+        page.  ``cpu`` is the sequential float sum of those costs in
+        batch order (``np.cumsum`` adds left to right, as a loop would;
+        ``np.sum`` would add pairwise and change the low bits).
         """
         costs = self.costs
-        wire = 0
-        cpu = 0.0
-        zero = delta = full = 0
-        xbzrle = self.mode == "xbzrle"
-        cache_get = self._cache.get
-        # Hoisted per-page constants: the accumulation order is unchanged
-        # (same float sums), only the attribute lookups leave the loop.
-        zero_scan = costs.zero_scan_cost
-        zero_bytes = costs.zero_page_bytes
-        encode_cost = costs.xbzrle_encode_cost
-        delta_bytes = costs.xbzrle_delta_bytes
-        for vpn, version in pages.items():
-            cpu += zero_scan
-            if version == 0:
-                wire += zero_bytes
-                zero += 1
-                continue
-            if xbzrle:
-                cached = cache_get(vpn)
-                if cached is not None and 0 < cached < version:
-                    cpu += encode_cost
-                    enc = PAGE_RECORD_OVERHEAD + min(
-                        PAGE_SIZE, delta_bytes * (version - cached)
-                    )
-                    if enc < _FULL_PAGE:
-                        wire += enc
-                        delta += 1
-                        continue
-            wire += _FULL_PAGE
-            full += 1
-        if xbzrle:
-            self._cache.update(pages)
+        versions = pages.versions
+        n = len(versions)
+        zero = int(np.count_nonzero(versions == 0))
+        delta = 0
+        delta_wire = 0
+        hits = np.empty(0, np.int64)
+        if self.mode == "xbzrle":
+            cached = self._cache.versions_of(pages.vpns)
+            hit = (cached > 0) & (cached < versions)
+            hits = np.flatnonzero(hit)
+            enc = PAGE_RECORD_OVERHEAD + np.minimum(
+                PAGE_SIZE, costs.xbzrle_delta_bytes * (versions[hit] - cached[hit])
+            )
+            pays = enc[enc < _FULL_PAGE]
+            delta = len(pays)
+            delta_wire = int(pays.sum())
+            self._cache = self._cache.overlay(pages)
+        full = n - zero - delta
+        wire = zero * costs.zero_page_bytes + delta_wire + full * _FULL_PAGE
+        # One zero-scan step per page, each hit's encode step right after
+        # its page's scan step.
+        steps = np.full(n + len(hits), costs.zero_scan_cost)
+        steps[hits + np.arange(1, len(hits) + 1)] = costs.xbzrle_encode_cost
+        cpu = float(np.cumsum(steps)[-1]) if n else 0.0
         st = self.stats
-        st.pages += len(pages)
-        st.raw_bytes += len(pages) * _FULL_PAGE
+        st.pages += n
+        st.raw_bytes += n * _FULL_PAGE
         st.wire_bytes += wire
         st.zero_pages += zero
         st.delta_pages += delta

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..des import Event
+from ..oskern.memory import PageBatch
 from ..oskern.node import Host
 from .capture import CaptureService, install_capture_service
 from .postcopy import PAGE_WIRE_BYTES, PostcopyFetcher, PostcopySource
@@ -82,7 +83,7 @@ class MigrationChannel:
         if metrics is not None and session is not None:
             metrics.gauge(f"channel.{session}.bytes_sent", fn=lambda: self.bytes_sent)
 
-    def compress_pages(self, pages: dict, raw_bytes: int) -> tuple[int, float]:
+    def compress_pages(self, pages: PageBatch, raw_bytes: int) -> tuple[int, float]:
         """Wire size + CPU cost of a page batch under the attached
         compressor; ``(raw_bytes, 0.0)`` when the stage is disabled."""
         if self.compressor is None or not pages:
@@ -135,7 +136,8 @@ class _Inbound:
     name: str
     source_ip: Any
     session: Optional[str] = None
-    staged_pages: dict[int, int] = field(default_factory=dict)
+    #: Every page received so far at its newest version, ascending.
+    staged_pages: PageBatch = field(default_factory=PageBatch.empty)
     staged_vmas: Optional[list] = None
     sockets: SocketStaging = field(default_factory=SocketStaging)
     capture_keys: list = field(default_factory=list)
@@ -186,7 +188,7 @@ class MigrationDaemon:
                 respond({"ok": True})
         elif op == "round":
             st = self._staging(body, src_ip)
-            st.staged_pages.update(body.get("pages", {}))
+            st.staged_pages = st.staged_pages.overlay(PageBatch.of(body.get("pages", {})))
             if body.get("vmas") is not None:
                 st.staged_vmas = body["vmas"]
             records = body.get("socket_records", [])

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Optional
 from ..blcr.checkpoint import PAGE_RECORD_OVERHEAD
 from ..des import Event
 from ..oskern import PAGE_SIZE, RpcError, SimProcess
+from ..oskern.memory import PageBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net import IPAddr
@@ -48,9 +49,10 @@ class PostcopySource:
     and re-prioritize the queue toward the fault's locality.
     """
 
-    def __init__(self, session: str, pages: dict[int, int], extents: list[tuple[int, int]]) -> None:
+    def __init__(self, session: str, pages: PageBatch, extents: list[tuple[int, int]]) -> None:
         self.session = session
-        #: vpn -> version captured at freeze (authoritative contents).
+        #: Freeze-time contents of every residual page, ascending
+        #: (authoritative contents).
         self.pages = pages
         #: Residual runs in push-priority order (initially address order).
         self._queue: list[list[int]] = [[s, e] for s, e in extents]
@@ -69,26 +71,26 @@ class PostcopySource:
     def drained(self) -> bool:
         return not self._queue
 
-    def take(self, max_pages: int) -> dict[int, int]:
-        """Pop up to ``max_pages`` from the queue front (push batch)."""
-        out: dict[int, int] = {}
+    def take(self, max_pages: int) -> PageBatch:
+        """Pop up to ``max_pages`` from the queue front (push batch), in
+        queue order — not ascending once a fetch re-prioritized it."""
+        runs = []
         budget = max_pages
-        pages = self.pages
         while budget > 0 and self._queue:
             run = self._queue[0]
             start, end = run
             chunk = min(budget, end - start)
-            for vpn in range(start, start + chunk):
-                out[vpn] = pages[vpn]
+            runs.append((start, start + chunk))
             budget -= chunk
             if start + chunk == end:
                 self._queue.pop(0)
             else:
                 run[0] = start + chunk
+        out = self.pages.select(runs)
         self.pushed_pages += len(out)
         return out
 
-    def serve(self, start: int, end: int) -> dict[int, int]:
+    def serve(self, start: int, end: int) -> PageBatch:
         """Serve a demand fetch for ``[start, end)``: return the stored
         pages in that range, drop them from the queue, and move the run
         that now follows the fetched range to the queue front."""
@@ -98,9 +100,7 @@ class PostcopySource:
         # installed at the destination) must still deliver content — a
         # duplicate install is harmless, an empty reply would leave the
         # writer faulting forever.
-        out = {
-            vpn: self.pages[vpn] for vpn in range(start, end) if vpn in self.pages
-        }
+        out = self.pages.select([(start, end)])
         self._remove(start, end)
         self._prioritize(end)
         self.served_pages += len(out)
@@ -227,7 +227,7 @@ class PostcopyFetcher:
             done.succeed()
         self.fault_wait += self.env.now - t0
 
-    def install(self, pages: dict[int, int], fetched: bool) -> None:
+    def install(self, pages: PageBatch, fetched: bool) -> None:
         """Install arrived pages (demand fetch or background push)."""
         space = self.proc.address_space
         space.install_pages(pages)

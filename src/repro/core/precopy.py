@@ -22,6 +22,7 @@ from ..blcr import CheckpointImage, dump_file_table, dump_pages, dump_thread_con
 from ..blcr.checkpoint import VMA_RECORD_BYTES
 from ..des import Process
 from ..oskern import RpcError, SimProcess
+from ..oskern.memory import PageBatch
 from ..oskern.node import Host
 from .compress import COMPRESSION_MODES
 from .migd import install_migd
@@ -416,7 +417,7 @@ class LiveMigrationEngine:
                 absent_extents = space.dirty_extents()
                 store_pages = space.dirty_version_map()
                 space.clear_dirty()
-                pages, page_bytes = {}, 0
+                pages, page_bytes = PageBatch.empty(), 0
                 dump_cpu = costs.pte_scan_cost * space.total_pages
                 postcopy_store = PostcopySource(sid, store_pages, absent_extents)
             else:

@@ -45,19 +45,3 @@ class PacketTrace:
 
     def times(self) -> np.ndarray:
         return np.asarray([r.time for r in self.records])
-
-    def inter_arrival_gaps(self) -> np.ndarray:
-        """Gaps between consecutive captured packets."""
-        t = self.times()
-        if len(t) < 2:
-            return np.asarray([])
-        return np.diff(np.sort(t))
-
-    def max_gap(self) -> tuple[float, float]:
-        """(gap, time at which the gap ended). Requires >= 2 records."""
-        t = np.sort(self.times())
-        if len(t) < 2:
-            raise ValueError("need at least two records")
-        gaps = np.diff(t)
-        i = int(np.argmax(gaps))
-        return float(gaps[i]), float(t[i + 1])

@@ -26,11 +26,18 @@ write path is batched instead of per-page:
   Writes only record ``+1 at start, -1 at end`` boundary deltas — a
   difference array — and the arrays are *materialized lazily* at
   read/dump time by one sweep over the accumulated boundaries, applied
-  as C-level slice operations.  Re-dirtying the same hot ranges many
+  as numpy slice additions.  Re-dirtying the same hot ranges many
   times between precopy rounds therefore costs O(1) per write and one
   slice bump per run per round, instead of one dict update per page per
-  write; dump views (:meth:`AddressSpace.dirty_version_map`) are built
-  from memoryview slices over the arrays rather than per-page lookups.
+  write.
+
+Page contents leave and enter a space as a :class:`PageBatch`: an int64
+vpn array and an int64 version array, in the order the producer emitted
+them.  Dumps (:meth:`AddressSpace.dirty_version_map`,
+:meth:`AddressSpace.content_snapshot`) copy run slices out of the page
+stores into one batch; restores (:meth:`AddressSpace.load_snapshot`,
+:meth:`AddressSpace.install_pages`) write runs back by slice or scatter.
+No per-page Python work happens on either side.
 
 The VMA list is kept sorted by ``start`` with a parallel key list, so
 ``find_vma``/``_insert``/``resize`` are O(log n) bisects with
@@ -42,12 +49,15 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 from .costs import PAGE_SIZE
 
-__all__ = ["VMArea", "AddressSpace", "ExtentSet", "PAGE_SIZE", "extents_of"]
+__all__ = ["VMArea", "AddressSpace", "ExtentSet", "PageBatch", "PAGE_SIZE"]
 
 _vma_ids = itertools.count(1)
 
@@ -228,6 +238,146 @@ class ExtentSet:
         return out
 
 
+class PageBatch(Mapping):
+    """Page contents in flight: ``versions[i]`` is the content of page
+    ``vpns[i]``.
+
+    Two equal-length int64 arrays with unique vpns, kept in the order the
+    producer emitted them (a post-copy push batch stops being ascending
+    once a demand fetch moves a run to the front of the queue), and never
+    mutated once built, so batches may share arrays.  Consumers that need
+    sorted keys sort a copy (:meth:`ascending`).  A batch reads as a
+    ``{vpn: version}`` mapping, which is what tests and the output checks
+    compare it with; the simulator itself only touches the arrays.
+    """
+
+    __slots__ = ("vpns", "versions")
+
+    def __init__(self, vpns: np.ndarray, versions: np.ndarray) -> None:
+        self.vpns = vpns
+        self.versions = versions
+
+    @classmethod
+    def empty(cls) -> "PageBatch":
+        return cls(np.empty(0, np.int64), np.empty(0, np.int64))
+
+    @classmethod
+    def of(cls, pages: Mapping) -> "PageBatch":
+        """``pages`` itself if it is a batch, else a batch of the
+        ``{vpn: version}`` mapping in its iteration order."""
+        if isinstance(pages, PageBatch):
+            return pages
+        n = len(pages)
+        return cls(
+            np.fromiter(pages.keys(), np.int64, n),
+            np.fromiter(pages.values(), np.int64, n),
+        )
+
+    # -- mapping view ---------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.vpns)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.vpns.tolist())
+
+    def __getitem__(self, vpn: int) -> int:
+        hit = np.flatnonzero(self.vpns == vpn)
+        if not len(hit):
+            raise KeyError(vpn)
+        return int(self.versions[hit[0]])
+
+    def keys(self) -> list[int]:
+        return self.vpns.tolist()
+
+    def values(self) -> list[int]:
+        return self.versions.tolist()
+
+    def items(self) -> Iterable[tuple[int, int]]:
+        return zip(self.vpns.tolist(), self.versions.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return dict(self.items()) == dict(other.items())
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PageBatch({dict(self.items())!r})"
+
+    # -- array operations -----------------------------------------------------
+    def ascending(self) -> "PageBatch":
+        """This batch if its vpns ascend, else a sorted copy."""
+        vpns = self.vpns
+        if len(vpns) < 2 or bool((vpns[1:] > vpns[:-1]).all()):
+            return self
+        order = np.argsort(vpns)
+        return PageBatch(vpns[order], self.versions[order])
+
+    def _find(self, vpns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Insertion points of ``vpns`` in this *ascending* batch, and
+        which of them hold the vpn itself."""
+        keys = self.vpns
+        idx = np.searchsorted(keys, vpns)
+        if not len(keys):
+            return idx, np.zeros(len(vpns), bool)
+        return idx, keys[np.minimum(idx, len(keys) - 1)] == vpns
+
+    def versions_of(self, vpns: np.ndarray) -> np.ndarray:
+        """Version of each of ``vpns`` in this *ascending* batch, 0 where
+        a vpn is absent."""
+        idx, found = self._find(vpns)
+        out = np.zeros(len(vpns), np.int64)
+        out[found] = self.versions[idx[found]]
+        return out
+
+    def overlay(self, newer: "PageBatch") -> "PageBatch":
+        """This *ascending* batch with ``newer``'s pages laid over it:
+        ``newer`` wins where both hold a page.  The result ascends."""
+        if not len(newer):
+            return self
+        if not len(self):
+            return newer.ascending()
+        idx, found = self._find(newer.vpns)
+        versions = self.versions.copy()
+        versions[idx[found]] = newer.versions[found]
+        if found.all():
+            return PageBatch(self.vpns, versions)
+        new = ~found
+        added = newer.vpns[new]
+        order = np.argsort(added)
+        at = idx[new][order]
+        return PageBatch(
+            np.insert(self.vpns, at, added[order]),
+            np.insert(versions, at, newer.versions[new][order]),
+        )
+
+    def select(self, runs: list[tuple[int, int]]) -> "PageBatch":
+        """The pages of this *ascending* batch inside ``runs``, run by
+        run in the order given (one slice per run, no per-page work)."""
+        keys = self.vpns
+        bounds = np.searchsorted(keys, np.array(runs, np.int64).ravel()).tolist()
+        cuts = [slice(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2])]
+        return PageBatch(
+            np.concatenate([keys[c] for c in cuts]),
+            np.concatenate([self.versions[c] for c in cuts]),
+        )
+
+    def runs(self) -> list[tuple[int, int, int]]:
+        """``(start, end, index)`` of each maximal consecutive-vpn run of
+        this *ascending* batch; ``index`` is the run's first position."""
+        vpns = self.vpns
+        if not len(vpns):
+            return []
+        firsts = [0, *(np.flatnonzero(np.diff(vpns) != 1) + 1).tolist()]
+        lasts = [*firsts[1:], len(vpns)]
+        starts = vpns[firsts].tolist()
+        return [
+            (start, start + last - first, first)
+            for start, first, last in zip(starts, firsts, lasts)
+        ]
+
+
 def _new_store(npages: int) -> PageStore:
     """Zero-version page store for a fresh mapping."""
     if npages >= _DENSE_LIMIT_PAGES:
@@ -392,10 +542,10 @@ class AddressSpace:
         """Fold the pending write deltas into the per-VMA page stores.
 
         One sorted sweep over the recorded boundaries; each segment with
-        a positive cumulative delta is bumped with C-level array slice
-        operations (split at VMA boundaries — adjacent restored VMAs can
-        share one written segment).  N writes to the same hot range
-        between flushes collapse into a single +N bump per page.
+        a positive cumulative delta is bumped with one numpy slice
+        addition per VMA it spans (adjacent restored VMAs can share one
+        written segment).  N writes to the same hot range between
+        flushes collapse into a single +N bump per page.
         """
         pending = self._pending
         if not pending:
@@ -415,7 +565,6 @@ class AddressSpace:
         starts = self._vma_starts
         vmas = self.vmas
         stores = self._stores
-        add = cum.__add__
         while start < end:
             area = vmas[bisect_right(starts, start) - 1]
             hi = end if end < area.end else area.end
@@ -427,7 +576,9 @@ class AddressSpace:
                 for off in range(a, b):
                     store[off] = get(off, 0) + cum
             else:
-                store[a:b] = array("Q", map(add, store[a:b]))
+                # A transient numpy view: the add runs in C, and the
+                # view dies with the statement (no lasting export).
+                np.frombuffer(store, np.int64)[a:b] += cum
             start = hi
 
     def page_version(self, vpn: int) -> int:
@@ -473,45 +624,45 @@ class AddressSpace:
                 self._dirty.remove(start, end)
         self._dirty_cache = None
 
-    def clear_dirty_extents(self, extents: list[tuple[int, int]]) -> None:
-        """Clear dirty bits for whole runs (the extent-native fast path)."""
-        for start, end in extents:
-            self._dirty.remove(start, end)
-        self._dirty_cache = None
-
-    def _run_views(self, start: int, end: int):
-        """Yield ``(run_range, version_view)`` pairs covering ``[start, end)``.
-
-        The view is a zero-copy memoryview slice of the backing array
-        (or a materialized list for a sparse store), split at VMA
-        boundaries.  Callers must consume it before the next mutation.
-        """
+    def _gather(self, runs: Iterable[tuple[int, int]]) -> PageBatch:
+        """The versions of ascending mapped ``runs`` as one batch, copied
+        out of the page stores run slice by run slice (split at VMA
+        boundaries).  The slices are transient views that
+        ``np.concatenate`` copies, so the batch never aliases a store:
+        later writes do not leak into an in-flight dump, and no export
+        pins a store's buffer against a later ``resize``."""
+        self._flush_versions()
         starts = self._vma_starts
         vmas = self.vmas
         stores = self._stores
-        while start < end:
-            area = vmas[bisect_right(starts, start) - 1]
-            hi = end if end < area.end else area.end
-            store = stores[area.vma_id]
-            a = start - area.start
-            b = hi - area.start
-            if isinstance(store, dict):
-                get = store.get
-                yield range(start, hi), [get(off, 0) for off in range(a, b)]
-            else:
-                yield range(start, hi), memoryview(store)[a:b]
-            start = hi
+        vpns: list[np.ndarray] = []
+        versions: list[np.ndarray] = []
+        for start, end in runs:
+            while start < end:
+                area = vmas[bisect_right(starts, start) - 1]
+                hi = end if end < area.end else area.end
+                store = stores[area.vma_id]
+                a = start - area.start
+                if isinstance(store, dict):
+                    get = store.get
+                    versions.append(
+                        np.fromiter(
+                            (get(off, 0) for off in range(a, hi - area.start)),
+                            np.int64,
+                            hi - start,
+                        )
+                    )
+                else:
+                    versions.append(np.frombuffer(store, np.int64, hi - start, 8 * a))
+                vpns.append(np.arange(start, hi, dtype=np.int64))
+                start = hi
+        if not vpns:
+            return PageBatch.empty()
+        return PageBatch(np.concatenate(vpns), np.concatenate(versions))
 
-    def dirty_version_map(self) -> dict[int, int]:
-        """``{vpn: version}`` for every dirty page, built run-at-a-time
-        from memoryview slices over the page stores."""
-        self._flush_versions()
-        out: dict[int, int] = {}
-        update = out.update
-        for start, end in self._dirty.extents():
-            for seg, view in self._run_views(start, end):
-                update(zip(seg, view))
-        return out
+    def dirty_version_map(self) -> PageBatch:
+        """Every dirty page with its version, ascending."""
+        return self._gather(self._dirty.extents())
 
     # -- post-copy residency (pages mapped but not yet fetched) --------------
     def mark_absent(self, extents: list[tuple[int, int]]) -> None:
@@ -534,35 +685,35 @@ class AddressSpace:
     def has_absent(self) -> bool:
         return bool(self._absent)
 
-    def install_pages(self, pages: dict[int, int]) -> None:
+    def install_pages(self, pages: PageBatch) -> None:
         """Install fetched page contents (post-copy demand/push path).
 
         Versions land exactly as sent, the pages become resident, and
         they stay *clean* — installing remote contents is not a local
         store, so a subsequent migration away must not re-send them
-        unless the workload writes them again.
+        unless the workload writes them again.  Written run by run, one
+        slice per run and VMA.
         """
-        if not pages:
-            return
+        batch = pages.ascending()
+        versions = batch.versions
         starts = self._vma_starts
         vmas = self.vmas
         stores = self._stores
-        get_page = pages.__getitem__
-        for start, end in _coalesce(list(pages)):
+        for start, end, i in batch.runs():
             self._absent.remove(start, end)
             while start < end:
                 area = vmas[bisect_right(starts, start) - 1]
                 hi = end if end < area.end else area.end
                 store = stores[area.vma_id]
                 a = start - area.start
+                b = hi - area.start
+                j = i + (hi - start)
                 if isinstance(store, dict):
-                    for vpn in range(start, hi):
-                        store[vpn - area.start] = pages[vpn]
+                    store.update(zip(range(a, b), versions[i:j].tolist()))
                 else:
-                    store[a:hi - area.start] = array(
-                        "Q", map(get_page, range(start, hi))
-                    )
+                    _scatter(store, slice(a, b), versions[i:j])
                 start = hi
+                i = j
 
     # -- whole-space views ------------------------------------------------------
     @property
@@ -573,56 +724,50 @@ class AddressSpace:
     def total_bytes(self) -> int:
         return self.total_pages * PAGE_SIZE
 
-    def content_snapshot(self) -> dict[int, int]:
-        """vpn -> version for every mapped page (test/restore helper)."""
-        self._flush_versions()
-        out: dict[int, int] = {}
-        for area in self.vmas:
-            store = self._stores[area.vma_id]
-            if isinstance(store, dict):
-                get = store.get
-                out.update(
-                    (vpn, get(vpn - area.start, 0)) for vpn in area.pages()
-                )
-            else:
-                out.update(zip(area.pages(), store))
-        return out
+    def content_snapshot(self) -> PageBatch:
+        """Every mapped page with its version, ascending."""
+        return self._gather([(area.start, area.end) for area in self.vmas])
 
     def load_snapshot(
         self,
         vmas: list[tuple[int, int, str, str]],
-        versions: dict[int, int],
-        overlay: Optional[dict[int, int]] = None,
+        versions: Mapping,
+        overlay: Optional[Mapping] = None,
     ) -> None:
         """Rebuild this (empty) space from checkpointed state: page
         versions from ``versions``, then ``overlay`` (newer deltas) laid
-        over them without merging the two into a copy.  Versions of
-        pages outside ``vmas`` are ignored."""
+        over them.  Both are :class:`PageBatch` objects (any
+        ``{vpn: version}`` mapping is converted).  Versions of pages
+        outside ``vmas`` are ignored; each VMA's pages are scattered into
+        its fresh store in one step."""
         if self.vmas:
             raise RuntimeError("load_snapshot requires an empty address space")
         for start, end, perms, tag in vmas:
             area = VMArea(start, end, perms, tag)
             insort(self.vmas, area, key=lambda a: a.start)
         self._vma_starts = [a.start for a in self.vmas]
-        get = versions.get
+        batch = PageBatch.of(versions).ascending()
+        if overlay is not None:
+            batch = batch.overlay(PageBatch.of(overlay))
+        keys = batch.vpns
+        bounds = np.searchsorted(
+            keys, [bound for a in self.vmas for bound in (a.start, a.end)]
+        ).tolist()
         self._stores = {}
-        for area in self.vmas:
+        for k, area in enumerate(self.vmas):
             area._space = self
-            npages = area.end - area.start
-            if npages >= _DENSE_LIMIT_PAGES:
-                store: PageStore = {
-                    vpn - area.start: ver
-                    for vpn, ver in versions.items()
-                    if area.start <= vpn < area.end and ver
-                }
+            lo, hi = bounds[2 * k], bounds[2 * k + 1]
+            offsets = keys[lo:hi] - area.start
+            values = batch.versions[lo:hi]
+            store = _new_store(area.end - area.start)
+            if isinstance(store, dict):
+                store.update(
+                    (off, ver)
+                    for off, ver in zip(offsets.tolist(), values.tolist())
+                    if ver
+                )
             else:
-                store = array("Q", (get(vpn, 0) for vpn in area.pages()))
-            for vpn, ver in (overlay or {}).items():
-                if area.start <= vpn < area.end:
-                    if ver or not isinstance(store, dict):
-                        store[vpn - area.start] = ver
-                    else:
-                        store.pop(vpn - area.start, None)
+                _scatter(store, offsets, values)
             self._stores[area.vma_id] = store
         self._pending = {}
         self._dirty = ExtentSet()
@@ -633,9 +778,11 @@ class AddressSpace:
             self._next_free_page = max(a.end for a in self.vmas) + 16
 
 
-def extents_of(vpns: list[int]) -> list[tuple[int, int]]:
-    """Coalesce a page-number list into sorted ``(start, end)`` runs."""
-    return list(_coalesce(vpns))
+def _scatter(store: "array[int]", where: Union[slice, np.ndarray], values: np.ndarray) -> None:
+    """``store[where] = values`` for a dense page store, done by numpy
+    through a view that dies on return (so no export outlives the call
+    to pin the array against a later resize)."""
+    np.frombuffer(store, np.int64)[where] = values
 
 
 def _coalesce(vpns: list[int]) -> Iterator[tuple[int, int]]:

@@ -13,6 +13,7 @@ from repro.blcr import (
 )
 from repro.cluster import build_cluster
 from repro.oskern import PAGE_SIZE, RegularFile
+from repro.oskern.memory import PageBatch
 
 
 @pytest.fixture
@@ -125,10 +126,21 @@ class TestRestart:
     def test_restart_with_missing_pages_rejected(self, cluster):
         src, dst = cluster.nodes[0].kernel, cluster.nodes[1].kernel
         proc = make_process(src)
-        img = checkpoint_process(proc)
-        pages = img.section("pages").payload
-        pages.pop(next(iter(pages)))
-        with pytest.raises(RestartError, match="never transferred"):
+        full = checkpoint_process(proc)
+        # The same image, but its page dump lacks the first page.
+        img = CheckpointImage(
+            pid=full.pid,
+            name=full.name,
+            source_node=full.source_node,
+            source_jiffies=full.source_jiffies,
+            nthreads=full.nthreads,
+        )
+        for section in full.sections.values():
+            payload = section.payload
+            if section.name == "pages":
+                payload = PageBatch(payload.vpns[1:], payload.versions[1:])
+            img.add_section(section.name, section.nbytes, payload)
+        with pytest.raises(RestartError, match="^1 mapped pages never transferred$"):
             restart_process(dst, img)
 
     def test_restarted_process_is_functional(self, cluster):

@@ -179,9 +179,7 @@ class TestPacketTrace:
         env.process(sender())
         env.run()
         assert len(trace) == 3
-        gap, at = trace.max_gap()
-        assert gap == pytest.approx(0.1)
-        assert at == pytest.approx(0.2)
+        assert trace.times().tolist() == pytest.approx([0.05, 0.1, 0.2])
 
     def test_filter(self, env):
         link = Link(env, name="tap")
@@ -193,11 +191,3 @@ class TestPacketTrace:
         link.send(udp(CLIENT_IP, CLUSTER_IP, dport=80), from_side=0)
         env.run()
         assert len(trace) == 1
-
-    def test_max_gap_needs_two(self, env):
-        trace = PacketTrace()
-        with pytest.raises(ValueError):
-            trace.max_gap()
-
-    def test_empty_gaps(self):
-        assert len(PacketTrace().inter_arrival_gaps()) == 0

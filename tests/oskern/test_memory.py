@@ -278,13 +278,6 @@ class TestDirtyExtents:
         assert space.dirty_extents() == [(a.start, a.start + 12)]
         assert space.dirty_count() == 12
 
-    def test_clear_dirty_extents(self, space):
-        a = space.mmap(16)
-        space.clear_dirty()
-        space.write_range(a, count=16)
-        space.clear_dirty_extents([(a.start, a.start + 8)])
-        assert space.dirty_extents() == [(a.start + 8, a.start + 16)]
-
 
 class TestDirtyPagesCache:
     """dirty_pages() must not re-materialize per call (regression guard)."""
