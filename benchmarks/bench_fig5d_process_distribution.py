@@ -7,11 +7,11 @@ whose counts increase in turn.
 """
 
 from repro.analysis import render_fig5d
-from repro.dve import DVEScenario, DVEScenarioConfig
+from repro.analysis.fig5def import build_fig5_world, run_fig5
 
 
 def run():
-    return DVEScenario(DVEScenarioConfig(load_balancing=True)).run()
+    return run_fig5(build_fig5_world(load_balancing=True))
 
 
 def test_fig5d_zone_server_distribution(once):

@@ -6,15 +6,12 @@ suffer increasing load concentration, eventually consuming over 95% of
 their CPUs, while node3 and node4 gradually fall below 65%.
 """
 
-from dataclasses import replace
-
 from repro.analysis import render_fig5e
-from repro.dve import DVEScenario, DVEScenarioConfig
+from repro.analysis.fig5def import build_fig5_world, run_fig5
 
 
 def run():
-    cfg = replace(DVEScenarioConfig(), load_balancing=False)
-    return DVEScenario(cfg).run()
+    return run_fig5(build_fig5_world(load_balancing=False))
 
 
 def test_fig5e_cpu_without_load_balancing(once):

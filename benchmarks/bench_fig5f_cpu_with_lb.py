@@ -6,18 +6,11 @@ nodes responsible for the crowding corners, resulting in a much lighter
 imbalance in resource consumption than Fig. 5e.
 """
 
-from dataclasses import replace
-
-from repro.analysis import render_comparison, render_fig5f
-from repro.analysis.fig5def import LoadBalancingComparison
-from repro.dve import DVEScenario, DVEScenarioConfig
+from repro.analysis import render_comparison, render_fig5f, run_fig5def
 
 
 def run():
-    base = DVEScenarioConfig()
-    without = DVEScenario(replace(base, load_balancing=False)).run()
-    with_lb = DVEScenario(replace(base, load_balancing=True)).run()
-    return LoadBalancingComparison(without_lb=without, with_lb=with_lb)
+    return run_fig5def()
 
 
 def test_fig5f_cpu_with_load_balancing(once):

@@ -7,7 +7,8 @@ the load-balancing middleware disabled and once enabled, then prints the
 per-node CPU series, the migration log and the zone-server process
 distribution.
 
-Full scale takes ~20 s; pass --quick for a reduced run.
+Full scale takes ~11 s (two 15-minute simulated runs on a 2-vCPU host);
+pass --quick for the reduced Fig. 5 campaign (~4 s).
 
 Run:  python examples/dve_load_balancing.py [--quick]
 """
@@ -15,31 +16,26 @@ Run:  python examples/dve_load_balancing.py [--quick]
 import sys
 
 from repro.analysis import (
+    FIG5_CAMPAIGN,
+    FIG5_QUICK_CAMPAIGN,
     render_comparison,
     render_fig5d,
     render_fig5e,
     render_fig5f,
     run_fig5def,
 )
-from repro.dve import DVEScenarioConfig, MovementConfig, ZoneServerConfig
 
 
 def main() -> None:
     if "--quick" in sys.argv:
-        config = DVEScenarioConfig(
-            n_clients=4000,
-            duration=240.0,
-            movement=MovementConfig(travel_time=160.0, mover_fraction=0.6),
-            zone_server=ZoneServerConfig(n_client_conns=1),
-            sample_interval=5.0,
-        )
+        campaign = FIG5_QUICK_CAMPAIGN
         print("Running the reduced DVE load-balancing scenario...")
     else:
-        config = DVEScenarioConfig()
+        campaign = FIG5_CAMPAIGN
         print("Running the full 15-minute, 10,000-client DVE scenario "
               "(twice: LB off, then LB on)...")
 
-    cmp = run_fig5def(config)
+    cmp = run_fig5def(campaign)
     print()
     print(render_fig5e(cmp.without_lb))
     print()

@@ -10,6 +10,9 @@ from .fig5bc import (
     run_freeze_sweep,
 )
 from .fig5def import (
+    FIG5_CAMPAIGN,
+    FIG5_QUICK_CAMPAIGN,
+    Fig5Result,
     LoadBalancingComparison,
     render_comparison,
     render_fig5d,
@@ -32,6 +35,9 @@ __all__ = [
     "render_fig5b",
     "render_fig5c",
     "run_fig5def",
+    "FIG5_CAMPAIGN",
+    "FIG5_QUICK_CAMPAIGN",
+    "Fig5Result",
     "LoadBalancingComparison",
     "render_fig5d",
     "render_fig5e",

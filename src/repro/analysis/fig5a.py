@@ -4,7 +4,8 @@ drift, rendered as ASCII maps.
 The paper's Fig. 5a is the setup diagram: the 10x10 zone grid, its
 initial assignment to the five server nodes, and the main directions of
 client movement during the simulation.  We render the assignment plus
-actual client densities before/after the drift.
+the client densities the Fig. 5 campaign's scenario driver allocates
+before and after the drift.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..dve import ClientPopulation, MovementConfig, ZoneGrid
+from ..dve import ZoneGrid
+from ..scenarios.campaign import Campaign
+from .fig5def import FIG5_CAMPAIGN, zone_counts
 
 __all__ = ["render_assignment_map", "render_density_map", "render_fig5a"]
 
@@ -48,33 +51,24 @@ def render_density_map(counts: np.ndarray, title: str) -> str:
 
 
 def render_fig5a(
-    n_clients: int = 10_000,
-    drift_time: float = 900.0,
-    seed: int = 42,
-    movement: Optional[MovementConfig] = None,
+    campaign: Campaign = FIG5_CAMPAIGN, drift_time: Optional[float] = None
 ) -> str:
-    """The full Figure-5a panel: assignment + before/after densities."""
-    from ..des import RngRegistry
-
-    grid = ZoneGrid(10, 10, 5)
-    pop = ClientPopulation(
-        grid, n_clients, RngRegistry(seed).stream("fig5a"), movement
-    )
-    before = pop.zone_counts()
-    steps = int(drift_time)
-    for _ in range(steps):
-        pop.step(1.0)
-    after = pop.zone_counts()
-
+    """The full Figure-5a panel: assignment + densities at t=0 and at
+    ``drift_time`` (default: the end of the campaign's scenario)."""
+    spec = campaign.scenario
+    if drift_time is None:
+        drift_time = spec.duration
+    grid = ZoneGrid(spec.grid_cols, spec.grid_rows, spec.nodes)
     parts = [
         "Figure 5a: virtual space partitioning and client movement",
         "",
         render_assignment_map(grid),
         "",
-        render_density_map(before, "Client density at t=0 (uniform)"),
+        render_density_map(zone_counts(campaign, 0.0), "Client density at t=0 (uniform)"),
         "",
         render_density_map(
-            after, f"Client density at t={int(drift_time)}s (corner clustering)"
+            zone_counts(campaign, drift_time),
+            f"Client density at t={drift_time:g}s (corner clustering)",
         ),
     ]
     return "\n".join(parts)

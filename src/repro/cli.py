@@ -72,19 +72,10 @@ def _sweep_config(args):
     return SweepConfig(repetitions=2, seed=args.seed, trace_dir=trace_dir)
 
 
-def _dve_config(args):
-    from .dve import DVEScenarioConfig, MovementConfig, ZoneServerConfig
+def _fig5_campaign(args):
+    from .analysis import FIG5_CAMPAIGN, FIG5_QUICK_CAMPAIGN
 
-    if args.quick:
-        return DVEScenarioConfig(
-            n_clients=4000,
-            duration=240.0,
-            seed=args.seed,
-            movement=MovementConfig(travel_time=160.0, mover_fraction=0.6),
-            zone_server=ZoneServerConfig(n_client_conns=1),
-            sample_interval=5.0,
-        )
-    return DVEScenarioConfig(seed=args.seed)
+    return FIG5_QUICK_CAMPAIGN if args.quick else FIG5_CAMPAIGN
 
 
 def _export_series(bundle, path: Path) -> None:
@@ -147,7 +138,7 @@ def run_fig5def_cmd(args, which: str) -> None:
         run_fig5def,
     )
 
-    cmp = run_fig5def(_dve_config(args))
+    cmp = run_fig5def(_fig5_campaign(args), seed=args.seed)
     if which in ("fig5e", "fig5def", "all"):
         print(render_fig5e(cmp.without_lb))
     if which in ("fig5f", "fig5def", "all"):
@@ -170,10 +161,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if which in ("fig5a", "all"):
         from .analysis import render_fig5a
 
-        if args.quick:
-            print(render_fig5a(n_clients=3000, drift_time=300, seed=args.seed))
-        else:
-            print(render_fig5a(seed=args.seed))
+        print(render_fig5a(_fig5_campaign(args)))
         print()
     if which == "fig4" or which == "all":
         run_fig4_cmd(args)

@@ -1,21 +1,14 @@
 """DVE simulation workload (Section VI-C, Figure 5)."""
 
-from .client import ClientPopulation, MovementConfig
 from .mysql import MYSQL_PORT, MySQLServer
-from .scenario import DVEResult, DVEScenario, DVEScenarioConfig
 from .space import Zone, ZoneGrid
 from .zoneserver import ZoneServer, ZoneServerConfig
 
 __all__ = [
     "Zone",
     "ZoneGrid",
-    "MovementConfig",
-    "ClientPopulation",
     "MySQLServer",
     "MYSQL_PORT",
     "ZoneServer",
     "ZoneServerConfig",
-    "DVEScenario",
-    "DVEScenarioConfig",
-    "DVEResult",
 ]

@@ -20,10 +20,6 @@ class Zone:
     col: int
     row: int
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.col + 0.5, self.row + 0.5)
-
 
 class ZoneGrid:
     """The grid and its initial zone -> node assignment."""
@@ -51,13 +47,6 @@ class ZoneGrid:
         if not (0 <= col < self.cols and 0 <= row < self.rows):
             raise ValueError(f"({col}, {row}) outside the grid")
         return self.zones[row * self.cols + col]
-
-    def zone_of_position(self, x: float, y: float) -> Zone:
-        """The zone containing continuous position (x, y); positions are
-        clamped to the world boundary."""
-        col = min(self.cols - 1, max(0, int(x)))
-        row = min(self.rows - 1, max(0, int(y)))
-        return self.zone_at(col, row)
 
     def initial_node_of(self, zone: Zone) -> int:
         """Index of the node initially responsible for ``zone``

@@ -11,8 +11,6 @@ exactly.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..des import Environment
 
 __all__ = ["MigrationAdmission"]
@@ -69,10 +67,6 @@ class MigrationAdmission:
     def calming(self) -> bool:
         self._prune()
         return bool(self._cooldowns)
-
-    @property
-    def reserved_by(self) -> Optional[str]:
-        return self._holders[0] if self._holders else None
 
     # -- 2PC verbs -----------------------------------------------------------
     def try_reserve(self, who: str) -> bool:

@@ -729,14 +729,10 @@ class AddressSpace:
         return self._gather([(area.start, area.end) for area in self.vmas])
 
     def load_snapshot(
-        self,
-        vmas: list[tuple[int, int, str, str]],
-        versions: Mapping,
-        overlay: Optional[Mapping] = None,
+        self, vmas: list[tuple[int, int, str, str]], versions: Mapping
     ) -> None:
         """Rebuild this (empty) space from checkpointed state: page
-        versions from ``versions``, then ``overlay`` (newer deltas) laid
-        over them.  Both are :class:`PageBatch` objects (any
+        versions from ``versions``, a :class:`PageBatch` (any
         ``{vpn: version}`` mapping is converted).  Versions of pages
         outside ``vmas`` are ignored; each VMA's pages are scattered into
         its fresh store in one step."""
@@ -747,8 +743,6 @@ class AddressSpace:
             insort(self.vmas, area, key=lambda a: a.start)
         self._vma_starts = [a.start for a in self.vmas]
         batch = PageBatch.of(versions).ascending()
-        if overlay is not None:
-            batch = batch.overlay(PageBatch.of(overlay))
         keys = batch.vpns
         bounds = np.searchsorted(
             keys, [bound for a in self.vmas for bound in (a.start, a.end)]

@@ -23,8 +23,9 @@ decides, and what must hold::
     scenario.achieved_ratio >= 0.95
     campaign.migrations_failed == 0
 
-:func:`run_campaign` builds the cluster, arms the faults, installs the
-strategy, drives the scenario, and evaluates the SLO rules through
+:func:`run_campaign` builds the world (cluster, zone servers, strategy),
+drives it (faults plus the scenario driver), measures it, and evaluates
+the SLO rules through
 :mod:`repro.obs.slo` over the flat ``scenario.*`` / ``campaign.*``
 measurements; :meth:`CampaignResult.bench_doc` wraps everything in a
 versioned ``repro-bench/1`` document, so each campaign is a standing
@@ -40,7 +41,7 @@ campaign with the same seed yields byte-identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..faults import FaultPlan
 from ..obs.slo import SLOReport, evaluate_slos, parse_rule
@@ -48,9 +49,18 @@ from .driver import ScenarioDriver
 from .dsl import ScenarioParseError, parse_scenario
 from .primitives import ScenarioSpec, _fmt
 
+if TYPE_CHECKING:
+    from ..cluster import Cluster
+    from ..dve.space import ZoneGrid
+    from ..middleware import ConductorConfig
+
 __all__ = [
     "Campaign",
     "CampaignResult",
+    "CampaignWorld",
+    "build_world",
+    "drive_world",
+    "measure_campaign",
     "parse_campaign",
     "run_campaign",
     "NAMED_CAMPAIGNS",
@@ -99,6 +109,25 @@ class Campaign:
         if "strategy" in overrides and "strategy_params" not in overrides:
             overrides["strategy_params"] = {}
         return replace(self, **overrides)
+
+    def conductor_config(self, seed: int) -> "ConductorConfig":
+        """The conductor configuration the campaign's header pins."""
+        from ..core import LiveMigrationConfig
+        from ..middleware import ConductorConfig, PolicyConfig
+
+        return ConductorConfig(
+            policies=PolicyConfig(imbalance_threshold=self.imbalance_threshold),
+            check_interval=self.check_interval,
+            calm_down=self.calm_down,
+            migration=LiveMigrationConfig(
+                initial_round_timeout=self.round_timeout,
+                mode=self.mode,
+                compression=self.compression,
+            ),
+            strategy=self.strategy,
+            strategy_params=dict(self.strategy_params),
+            seed=seed,
+        )
 
     def effective_measure_after(self, duration: float) -> float:
         return (
@@ -346,91 +375,114 @@ class CampaignResult:
         return body + "\n\n" + self.slo_report.render()
 
 
-def run_campaign(
-    campaign: Campaign,
-    *,
-    quick: bool = False,
-    seed: Optional[int] = None,
-    trace_path=None,
-    series_path=None,
-) -> CampaignResult:
-    """Execute one campaign end to end.
+@dataclass
+class CampaignWorld:
+    """A built zone-server world: the cluster, its zone grid, one zone
+    server per zone (aligned with ``grid.zones``) and the conductors
+    managing them (none when the world was built without balancers)."""
 
-    ``seed`` overrides the campaign's seed; ``trace_path`` enables
-    tracing and writes the JSONL trace there; ``series_path`` writes the
-    driver's per-tick ``scenario.*`` series as CSV (the ``repro-dash``
-    scenario-panel input).  Returns the :class:`CampaignResult` with the
-    SLO verdict evaluated — the caller decides whether a failed verdict
-    is fatal (CI makes it blocking).
-    """
+    cluster: "Cluster"
+    grid: "ZoneGrid"
+    zone_servers: list
+    conductors: list
+
+    def migration_events(self) -> list:
+        """Every migration the conductors launched, in conductor order."""
+        return [ev for c in self.conductors for ev in c.events]
+
+
+def build_world(
+    spec: ScenarioSpec,
+    *,
+    seed: int = 42,
+    balancers: Optional["ConductorConfig"] = None,
+    tracing: bool = False,
+) -> CampaignWorld:
+    """Build stage: the cluster, the zone grid and one started zone
+    server per zone on its row-band node, each with ``spec.conns``
+    client connections and, under ``spec.db``, a MySQL session.  With
+    ``balancers`` a conductor on every node manages every zone server.
+    ``tracing`` attaches the tracer before anything is built.  Opening
+    connections advances simulated time (handshakes settle), so later
+    stages measure from ``cluster.env.now``."""
     from ..cluster import Cluster, ClusterConfig
-    from ..core import LiveMigrationConfig
+    from ..dve.mysql import MySQLServer
     from ..dve.space import ZoneGrid
     from ..dve.zoneserver import ZoneServer, ZoneServerConfig
-    from ..faults import install_faults
-    from ..middleware import ConductorConfig, PolicyConfig
-
-    spec = campaign.scenario
-    effective_seed = campaign.seed if seed is None else seed
-    duration = spec.duration
-    if quick and campaign.quick_duration is not None:
-        duration = campaign.quick_duration
 
     cluster = Cluster(
-        ClusterConfig(n_nodes=spec.nodes, with_db=False, master_seed=effective_seed)
+        ClusterConfig(n_nodes=spec.nodes, with_db=spec.db, master_seed=seed)
     )
-    tracer = None
-    if trace_path is not None:
-        tracer = cluster.env.enable_tracing()
-
+    if tracing:
+        cluster.env.enable_tracing()
     grid = ZoneGrid(spec.grid_cols, spec.grid_rows, spec.nodes)
+    db = MySQLServer(cluster.db) if spec.db else None
     zs_config = ZoneServerConfig(
         memory_pages=spec.pages,
         cpu_per_client=spec.cpu_per_client,
         cpu_base=spec.cpu_base,
+        n_client_conns=spec.conns,
     )
     zone_servers = []
     for zone in grid.zones:
         node = cluster.nodes[grid.initial_node_of(zone)]
-        zs = ZoneServer(cluster, node, zone, db=None, config=zs_config)
+        zs = ZoneServer(cluster, node, zone, db=db, config=zs_config)
+        if spec.conns:
+            zs.connect_clients()
+        if db is not None:
+            zs.connect_db()
         zs.start()
         zone_servers.append(zs)
 
-    conductor_config = ConductorConfig(
-        policies=PolicyConfig(imbalance_threshold=campaign.imbalance_threshold),
-        check_interval=campaign.check_interval,
-        calm_down=campaign.calm_down,
-        migration=LiveMigrationConfig(
-            initial_round_timeout=campaign.round_timeout,
-            mode=campaign.mode,
-            compression=campaign.compression,
-        ),
-        strategy=campaign.strategy,
-        strategy_params=dict(campaign.strategy_params),
-        seed=effective_seed,
-    )
-    conductors = cluster.install_balancers(conductor_config)
-    for zs in zone_servers:
-        zs.current_node().daemons["conductor"].manage(zs.proc)
+    conductors = []
+    if balancers is not None:
+        conductors = cluster.install_balancers(balancers)
+        for zs in zone_servers:
+            zs.current_node().daemons["conductor"].manage(zs.proc)
+    return CampaignWorld(cluster, grid, zone_servers, conductors)
+
+
+def drive_world(world: CampaignWorld, campaign: Campaign) -> ScenarioDriver:
+    """Drive stage: arm the campaign's faults and start its scenario
+    driver on ``world``, from now."""
+    from ..faults import install_faults
 
     if len(campaign.faults):
-        install_faults(cluster, campaign.faults)
-
-    driver = ScenarioDriver(
-        cluster, grid, zone_servers, spec, campaign=campaign.name
+        install_faults(world.cluster, campaign.faults)
+    return ScenarioDriver(
+        world.cluster,
+        world.grid,
+        world.zone_servers,
+        campaign.scenario,
+        campaign=campaign.name,
     ).start()
 
-    measure_after = campaign.effective_measure_after(duration)
+
+def measure_campaign(
+    world: CampaignWorld,
+    driver: ScenarioDriver,
+    campaign: Campaign,
+    duration: float,
+) -> dict[str, float]:
+    """Measure stage: sample every conductor's load each scenario tick
+    after the campaign's measure point, run ``duration`` seconds from
+    the drive's start, and return the flat ``scenario.*`` /
+    ``campaign.*`` values."""
+    env = world.cluster.env
+    conductors = world.conductors
+    spec = campaign.scenario
+    t0 = env.now
+    measure_after = t0 + campaign.effective_measure_after(duration)
     samples: list[list[float]] = []
 
     def sampler():
         while True:
-            yield cluster.env.timeout(spec.tick)
-            if cluster.env.now >= measure_after:
+            yield env.timeout(spec.tick)
+            if env.now >= measure_after:
                 samples.append([c.monitor.current_load() for c in conductors])
 
-    cluster.env.process(sampler(), name="campaign-sampler")
-    cluster.env.run(until=duration)
+    env.process(sampler(), name="campaign-sampler")
+    env.run(until=t0 + duration)
 
     degradation = sum(
         spec.tick
@@ -443,9 +495,8 @@ def run_campaign(
         if samples
         else 0.0
     )
-    events = [ev for c in conductors for ev in c.events]
+    events = world.migration_events()
     succeeded = [ev for ev in events if ev.success]
-    failed = [ev for ev in events if not ev.success]
 
     values = dict(driver.counters())
     values.update(
@@ -453,7 +504,7 @@ def run_campaign(
             "campaign.degradation_node_s": degradation,
             "campaign.spread_pct": spread,
             "campaign.migrations": float(len(succeeded)),
-            "campaign.migrations_failed": float(len(failed)),
+            "campaign.migrations_failed": float(len(events) - len(succeeded)),
             "campaign.freeze_total_ms": sum(
                 ev.freeze_time for ev in succeeded if ev.freeze_time is not None
             )
@@ -466,12 +517,45 @@ def run_campaign(
             ),
         }
     )
+    return values
+
+
+def run_campaign(
+    campaign: Campaign,
+    *,
+    quick: bool = False,
+    seed: Optional[int] = None,
+    trace_path=None,
+    series_path=None,
+) -> CampaignResult:
+    """Execute one campaign end to end: build, drive, measure.
+
+    ``seed`` overrides the campaign's seed; ``trace_path`` enables
+    tracing and writes the JSONL trace there; ``series_path`` writes the
+    driver's per-tick ``scenario.*`` series as CSV (the ``repro-dash``
+    scenario-panel input).  Returns the :class:`CampaignResult` with the
+    SLO verdict evaluated — the caller decides whether a failed verdict
+    is fatal (CI makes it blocking).
+    """
+    effective_seed = campaign.seed if seed is None else seed
+    duration = campaign.scenario.duration
+    if quick and campaign.quick_duration is not None:
+        duration = campaign.quick_duration
+
+    world = build_world(
+        campaign.scenario,
+        seed=effective_seed,
+        balancers=campaign.conductor_config(effective_seed),
+        tracing=trace_path is not None,
+    )
+    driver = drive_world(world, campaign)
+    values = measure_campaign(world, driver, campaign, duration)
     report = evaluate_slos(campaign.slos, values)
 
-    if trace_path is not None and tracer is not None:
+    if trace_path is not None:
         from ..obs.export import write_jsonl
 
-        write_jsonl(trace_path, tracer)
+        write_jsonl(trace_path, world.cluster.env.tracer)
     if series_path is not None:
         from pathlib import Path
 
@@ -487,7 +571,7 @@ def run_campaign(
         values=values,
         slo_report=report,
         driver=driver,
-        migrations=succeeded,
+        migrations=[ev for ev in world.migration_events() if ev.success],
     )
 
 

@@ -42,7 +42,7 @@ if TYPE_CHECKING:
     from ..dve.space import ZoneGrid
     from ..dve.zoneserver import ZoneServer
 
-__all__ = ["ScenarioDriver", "series_prefix"]
+__all__ = ["ScenarioDriver", "allocate", "series_prefix"]
 
 
 def series_prefix(campaign: str = "") -> str:
@@ -52,6 +52,31 @@ def series_prefix(campaign: str = "") -> str:
     return f"scenario.{campaign}." if campaign else "scenario."
 
 
+def allocate(spec: ScenarioSpec, offered: int, weights: np.ndarray, t: float) -> np.ndarray:
+    """Split ``offered`` clients over the spec's zones at ``t``: targeted
+    flash extras first, the remainder by ``weights`` with
+    largest-remainder rounding (ties broken by zone id — fully
+    deterministic)."""
+    counts = np.zeros(spec.n_zones, dtype=int)
+    remaining = offered
+    for shape in spec.shapes:
+        if isinstance(shape, FlashCrowd) and 0 <= shape.zone < len(counts):
+            extra = min(remaining, int(round(spec.clients * shape.excess(t))))
+            counts[shape.zone] += extra
+            remaining -= extra
+    if remaining > 0:
+        exact = weights * remaining
+        base = np.floor(exact).astype(int)
+        short = remaining - int(base.sum())
+        if short > 0:
+            frac = exact - base
+            # argsort is stable, so equal fractions favour lower ids.
+            for z in np.argsort(-frac, kind="stable")[:short]:
+                base[z] += 1
+        counts += base
+    return counts
+
+
 class ScenarioDriver:
     """Drives one scenario against ``zone_servers`` (aligned with
     ``grid.zones``) on ``cluster``.
@@ -59,9 +84,7 @@ class ScenarioDriver:
     All randomness — churn draws today, anything a future primitive
     needs — comes from the single ``rng`` stream, which defaults to the
     cluster's seeded ``"scenario"`` stream: one master seed replays the
-    same joins, leaves and populations byte for byte (the same contract
-    :class:`~repro.dve.client.ClientPopulation` honours for the
-    Figure-5 movement model).
+    same joins, leaves and populations byte for byte.
     """
 
     def __init__(
@@ -183,7 +206,7 @@ class ScenarioDriver:
 
     def _weights_at(self, t: float) -> np.ndarray:
         spec = self.spec
-        weights = spec.zones.weights(spec.n_zones, t)
+        weights = spec.zones.weights(self.grid, t)
         if spec.chain is not None:
             lagged = None
             cutoff = t - spec.chain.lag
@@ -201,29 +224,6 @@ class ScenarioDriver:
             self._weight_history.popleft()
         return weights
 
-    def _allocate(self, offered: int, weights: np.ndarray, t: float) -> np.ndarray:
-        """Split ``offered`` clients over zones: targeted flash extras
-        first, the remainder by weights with largest-remainder rounding
-        (ties broken by zone id — fully deterministic)."""
-        counts = np.zeros(self.spec.n_zones, dtype=int)
-        remaining = offered
-        for shape in self.spec.shapes:
-            if isinstance(shape, FlashCrowd) and 0 <= shape.zone < len(counts):
-                extra = min(remaining, int(round(self.spec.clients * shape.excess(t))))
-                counts[shape.zone] += extra
-                remaining -= extra
-        if remaining > 0:
-            exact = weights * remaining
-            base = np.floor(exact).astype(int)
-            short = remaining - int(base.sum())
-            if short > 0:
-                frac = exact - base
-                # argsort is stable, so equal fractions favour lower ids.
-                for z in np.argsort(-frac, kind="stable")[:short]:
-                    base[z] += 1
-            counts += base
-        return counts
-
     def _loop(self):
         spec = self.spec
         t_end = self._t_start + spec.duration
@@ -231,7 +231,7 @@ class ScenarioDriver:
             yield self.env.timeout(spec.tick)
             t = self.env.now - self._t_start
             offered = spec.offered(t)
-            counts = self._allocate(offered, self._weights_at(t), t)
+            counts = allocate(spec, offered, self._weights_at(t), t)
             self._apply_tick(t, offered, counts)
         tr = self.env.tracer
         if tr.enabled:

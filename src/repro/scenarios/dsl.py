@@ -7,12 +7,12 @@ Each non-blank, non-comment line is one directive::
     tick 1
     grid 8x4
     nodes 4
-    server cpu_per_client=0.003 cpu_base=0.02 pages=64
+    server cpu_per_client=0.003 cpu_base=0.02 pages=64 conns=4 db=true
     load flash at=30 peak=2.5 ramp=5 hold=10 decay=20
     load diurnal period=60 amp=0.4 phase=0.25
     zones zipf s=1.1
     zones rotate period=60 amp=0.5
-    zones corners travel=300 mass=0.7
+    zones corners travel=300 mass=0.7 band=0.4
     background cycle base=0.8 amp=0.4 period=30
     mix churn=0.08 long_lived=0.6
     chain depend gain=0.3 lag=5 stride=1
@@ -60,14 +60,23 @@ ZONE_KINDS = {
     "uniform": (UniformZones, {}),
     "zipf": (ZipfZones, {"s": float}),
     "rotate": (RotatingHotspot, {"period": float, "amp": float}),
-    "corners": (CornerDrift, {"travel": float, "mass": float}),
+    "corners": (CornerDrift, {"travel": float, "mass": float, "band": float}),
 }
+
+
+def _parse_bool(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError(value)
+    return value == "true"
+
 
 #: ``server`` options mapped onto :class:`ScenarioSpec` fields.
 _SERVER_OPTIONS = {
     "cpu_per_client": ("cpu_per_client", float),
     "cpu_base": ("cpu_base", float),
     "pages": ("pages", int),
+    "conns": ("conns", int),
+    "db": ("db", _parse_bool),
 }
 
 

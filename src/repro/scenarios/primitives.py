@@ -37,9 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..dve.space import ZoneGrid
 
 __all__ = [
     "LoadShape",
@@ -180,9 +183,10 @@ class ZoneWeights:
 
     kind = "uniform"
 
-    def weights(self, n_zones: int, t: float) -> np.ndarray:
-        """Normalised popularity weights over ``n_zones`` at time ``t``."""
-        return np.full(n_zones, 1.0 / n_zones)
+    def weights(self, grid: "ZoneGrid", t: float) -> np.ndarray:
+        """Normalised popularity weights over the ``grid``'s zones (in
+        zone-id order) at time ``t``."""
+        return np.full(len(grid), 1.0 / len(grid))
 
     def describe(self) -> str:
         return f"zones {self.kind}"
@@ -212,8 +216,8 @@ class ZipfZones(ZoneWeights):
         if self.s <= 0:
             raise ValueError(f"zipf exponent must be positive, got {self.s}")
 
-    def weights(self, n_zones: int, t: float) -> np.ndarray:
-        w = 1.0 / np.arange(1, n_zones + 1, dtype=float) ** self.s
+    def weights(self, grid: "ZoneGrid", t: float) -> np.ndarray:
+        w = 1.0 / np.arange(1, len(grid) + 1, dtype=float) ** self.s
         return w / w.sum()
 
     def describe(self) -> str:
@@ -248,7 +252,8 @@ class RotatingHotspot(ZoneWeights):
         if not 0 <= self.amp <= 1:
             raise ValueError(f"rotate amp must be in [0, 1], got {self.amp}")
 
-    def weights(self, n_zones: int, t: float) -> np.ndarray:
+    def weights(self, grid: "ZoneGrid", t: float) -> np.ndarray:
+        n_zones = len(grid)
         z = np.arange(n_zones, dtype=float)
         w = 1.0 + self.amp * np.cos(2 * math.pi * (t / self.period - z / n_zones))
         return w / w.sum()
@@ -259,17 +264,23 @@ class RotatingHotspot(ZoneWeights):
 
 @dataclass(frozen=True)
 class CornerDrift(ZoneWeights):
-    """Population mass drifts from a uniform spread into the up-left and
-    down-right corner zones over ``travel`` seconds — the paper's
+    """Population mass drains from a band of rows into the up-left and
+    down-right corner regions over ``travel`` seconds — the paper's
     Section VI-C clustering behaviour in count space.
 
+    The source band is the middle ``band`` fraction of the grid's rows
+    (``band=0.4`` on a 10-row grid is rows 3–6; the default drains every
+    zone).  A corner region is k×k zones with k the rows each node
+    initially owns (1×1 on a 4×4 grid over 4 nodes, 2×2 on Fig. 5's
+    10×10 grid over 5), so each corner lands on the first or last node.
     At t=0 the weights are uniform; by ``t >= travel`` a ``mass``
-    fraction of the population has concentrated on the two corner zones
-    (split evenly), the rest staying uniform.
+    fraction of the band's population has moved, split evenly between
+    the two corners and spread evenly inside each.
     """
 
     travel: float = 300.0
     mass: float = 0.7
+    band: float = 1.0
 
     kind = "corners"
 
@@ -278,16 +289,27 @@ class CornerDrift(ZoneWeights):
             raise ValueError(f"corner travel must be positive, got {self.travel}")
         if not 0 <= self.mass <= 1:
             raise ValueError(f"corner mass must be in [0, 1], got {self.mass}")
+        if not 0 < self.band <= 1:
+            raise ValueError(f"corner band must be in (0, 1], got {self.band}")
 
-    def weights(self, n_zones: int, t: float) -> np.ndarray:
+    def weights(self, grid: "ZoneGrid", t: float) -> np.ndarray:
+        n_zones = len(grid)
         progress = min(1.0, max(0.0, t / self.travel)) * self.mass
-        w = np.full(n_zones, (1.0 - progress) / n_zones)
-        w[0] += progress / 2.0
-        w[n_zones - 1] += progress / 2.0
-        return w
+        band_rows = max(1, round(self.band * grid.rows))
+        first = (grid.rows - band_rows) // 2
+        w = np.full((grid.rows, grid.cols), 1.0 / n_zones)
+        w[first:first + band_rows] = (1.0 - progress) / n_zones
+        k = grid.rows // grid.n_nodes
+        share = progress * (band_rows / grid.rows) / 2.0 / (k * k)
+        w[:k, :k] += share
+        w[-k:, -k:] += share
+        return w.ravel()
 
     def describe(self) -> str:
-        return f"zones corners travel={_fmt(self.travel)} mass={_fmt(self.mass)}"
+        base = f"zones corners travel={_fmt(self.travel)} mass={_fmt(self.mass)}"
+        if self.band != 1.0:
+            base += f" band={_fmt(self.band)}"
+        return base
 
 
 # -- unmanaged background load ---------------------------------------------------
@@ -481,6 +503,11 @@ class ScenarioSpec:
     cpu_per_client: float = 0.003
     cpu_base: float = 0.02
     pages: int = 64
+    #: Real client TCP connections each zone server holds, and whether
+    #: each opens a MySQL session to the cluster's database host — the
+    #: sockets a Fig. 5 migration carries along.
+    conns: int = 0
+    db: bool = False
     shapes: list[LoadShape] = field(default_factory=list)
     zones: ZoneWeights = field(default_factory=UniformZones)
     background: Optional[BackgroundCycle] = None
@@ -499,6 +526,8 @@ class ScenarioSpec:
             raise ValueError("scenario grid must be non-empty")
         if self.nodes < 1:
             raise ValueError("scenario needs at least one node")
+        if self.conns < 0:
+            raise ValueError(f"server conns must be non-negative, got {self.conns}")
         if self.grid_rows % self.nodes != 0:
             raise ValueError(
                 f"{self.grid_rows} grid rows cannot split evenly across "
@@ -518,16 +547,21 @@ class ScenarioSpec:
 
     def describe(self) -> str:
         """The spec in DSL form (round-trips through ``parse_scenario``)."""
+        server = (
+            f"server cpu_per_client={_fmt(self.cpu_per_client)} "
+            f"cpu_base={_fmt(self.cpu_base)} pages={self.pages}"
+        )
+        if self.conns:
+            server += f" conns={self.conns}"
+        if self.db:
+            server += " db=true"
         lines = [
             f"clients {self.clients}",
             f"duration {_fmt(self.duration)}",
             f"tick {_fmt(self.tick)}",
             f"grid {self.grid_cols}x{self.grid_rows}",
             f"nodes {self.nodes}",
-            (
-                f"server cpu_per_client={_fmt(self.cpu_per_client)} "
-                f"cpu_base={_fmt(self.cpu_base)} pages={self.pages}"
-            ),
+            server,
         ]
         lines.extend(shape.describe() for shape in self.shapes)
         if not isinstance(self.zones, UniformZones):

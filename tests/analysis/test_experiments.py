@@ -8,6 +8,7 @@ small scale.
 import pytest
 
 from repro.analysis import (
+    FIG5_QUICK_CAMPAIGN,
     SweepConfig,
     render_comparison,
     render_fig4,
@@ -20,7 +21,6 @@ from repro.analysis import (
     run_fig5def,
     run_freeze_sweep,
 )
-from repro.dve import DVEScenarioConfig, MovementConfig, ZoneServerConfig
 from repro.openarena import Fig4Config
 
 
@@ -33,14 +33,7 @@ def sweep():
 
 @pytest.fixture(scope="module")
 def comparison():
-    cfg = DVEScenarioConfig(
-        n_clients=4000,
-        duration=180.0,
-        movement=MovementConfig(travel_time=120.0, mover_fraction=0.6),
-        zone_server=ZoneServerConfig(n_client_conns=1),
-        sample_interval=5.0,
-    )
-    return run_fig5def(cfg)
+    return run_fig5def(FIG5_QUICK_CAMPAIGN)
 
 
 class TestFig4Driver:

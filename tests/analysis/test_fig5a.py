@@ -2,7 +2,12 @@
 
 import numpy as np
 
-from repro.analysis import render_assignment_map, render_density_map, render_fig5a
+from repro.analysis import (
+    FIG5_QUICK_CAMPAIGN,
+    render_assignment_map,
+    render_density_map,
+    render_fig5a,
+)
 from repro.dve import ZoneGrid
 
 
@@ -35,14 +40,14 @@ class TestDensityMap:
 
 class TestFig5a:
     def test_full_render(self):
-        out = render_fig5a(n_clients=2000, drift_time=400, seed=1)
+        out = render_fig5a(FIG5_QUICK_CAMPAIGN, drift_time=400)
         assert "Figure 5a" in out
         assert "assignment" in out
         assert "t=0" in out and "t=400s" in out
 
     def test_drift_visibly_concentrates(self):
         """The after-map's peak far exceeds the before-map's."""
-        out = render_fig5a(n_clients=4000, drift_time=600, seed=2)
+        out = render_fig5a()
         import re
 
         peaks = [int(m) for m in re.findall(r"peak=(\d+)", out)]

@@ -7,16 +7,11 @@ boundary-sync traffic — both endpoints of a link are migratable.
 
 import pytest
 
-from repro.core import migrate_process
+from repro.analysis import FIG5_QUICK_CAMPAIGN
+from repro.analysis.fig5def import build_fig5_world, run_fig5
 from repro.cluster import build_cluster
-from repro.dve import (
-    DVEScenario,
-    DVEScenarioConfig,
-    MovementConfig,
-    ZoneGrid,
-    ZoneServer,
-    ZoneServerConfig,
-)
+from repro.core import migrate_process
+from repro.dve import ZoneGrid, ZoneServer, ZoneServerConfig
 from repro.testing import run_for
 
 
@@ -79,25 +74,22 @@ class TestNeighborLinks:
 
 class TestScenarioWithNeighbors:
     def test_reduced_lb_scenario_with_links(self):
-        cfg = DVEScenarioConfig(
-            n_clients=3000,
-            duration=120.0,
-            load_balancing=True,
-            movement=MovementConfig(travel_time=80.0, mover_fraction=0.7),
-            zone_server=ZoneServerConfig(
-                n_client_conns=1, neighbor_sync_interval=1.0
-            ),
-            with_neighbor_links=True,
-            sample_interval=5.0,
-        )
-        scenario = DVEScenario(cfg)
-        result = scenario.run()
+        campaign = FIG5_QUICK_CAMPAIGN
+        world = build_fig5_world(campaign, load_balancing=True)
+        # Wire every zone server to its east neighbour on the built world.
+        servers = world.zone_servers
+        for zs in servers:
+            zs.listen_neighbors()
+        for zs in servers:
+            if zs.zone.col + 1 < world.grid.cols:
+                zs.connect_neighbor(servers[zs.zone.zone_id + 1])
+        result = run_fig5(world, campaign)
         # 90 east links on a 10x10 grid, all carrying traffic.
-        linked = [zs for zs in scenario.zone_servers if zs.neighbor_sock is not None]
+        linked = [zs for zs in servers if zs.neighbor_sock is not None]
         assert len(linked) == 90
-        total_rx = sum(zs.neighbor_msgs_received for zs in scenario.zone_servers)
-        assert total_rx > 90 * 50  # ~1 Hz for 120 s per link
+        total_rx = sum(zs.neighbor_msgs_received for zs in servers)
+        assert total_rx > 90 * 100  # every 2 s for 240 s per link
         # Migrations happened while links were live, and nothing broke.
         assert len(result.migrations) >= 1
-        for host in scenario.cluster.all_hosts():
+        for host in world.cluster.all_hosts():
             assert host.stack.ip.checksum_drops == 0

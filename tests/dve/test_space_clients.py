@@ -1,20 +1,18 @@
-"""Tests for the zone grid and client population/movement model."""
+"""Tests for the zone grid and the Fig. 5 client population: the
+count-space corner drift the scenario driver allocates."""
 
 import numpy as np
 import pytest
 
-from repro.des import RngRegistry
-from repro.dve import ClientPopulation, MovementConfig, ZoneGrid
+from repro.analysis import FIG5_CAMPAIGN
+from repro.analysis.fig5def import zone_counts
+from repro.dve import ZoneGrid
+from repro.scenarios import ScenarioSpec
 
 
 @pytest.fixture
 def grid():
     return ZoneGrid(10, 10, 5)
-
-
-def make_pop(grid, n=2000, seed=1, **kw):
-    cfg = MovementConfig(**kw) if kw else MovementConfig()
-    return ClientPopulation(grid, n, RngRegistry(seed).stream("pop"), cfg)
 
 
 class TestZoneGrid:
@@ -39,11 +37,6 @@ class TestZoneGrid:
         for i in range(5):
             assert sum(grid.initial_node_of(z) == i for z in grid.zones) == 20
 
-    def test_position_binning(self, grid):
-        assert grid.zone_of_position(3.7, 8.2).zone_id == grid.zone_at(3, 8).zone_id
-        # Clamped at the boundary.
-        assert grid.zone_of_position(11.0, -1.0).zone_id == grid.zone_at(9, 0).zone_id
-
     def test_uneven_split_rejected(self):
         with pytest.raises(ValueError):
             ZoneGrid(10, 10, 3)
@@ -52,68 +45,60 @@ class TestZoneGrid:
         with pytest.raises(ValueError):
             ZoneGrid(0, 10, 5)
 
-    def test_zone_center(self, grid):
-        assert grid.zone_at(2, 3).center == (2.5, 3.5)
-
 
 class TestClientPopulation:
-    def test_initially_roughly_uniform(self, grid):
-        pop = make_pop(grid, n=10_000)
-        counts = pop.zone_counts()
+    """Fig. 5's 10,000 clients: 60% of rows 3-6 drain into the 2x2
+    corner regions over 250 s."""
+
+    def test_initially_roughly_uniform(self):
+        counts = zone_counts(FIG5_CAMPAIGN, 0.0)
         assert counts.sum() == 10_000
-        assert counts.min() > 50  # ~100 +- sampling noise
-        assert counts.max() < 160
+        assert (counts == 100).all()
 
-    def test_total_is_conserved(self, grid):
-        pop = make_pop(grid, n=5000)
-        for _ in range(100):
-            pop.step(1.0)
-        assert pop.zone_counts().sum() == 5000
+    def test_total_is_conserved(self):
+        for t in (1.0, 100.0, 250.0, 900.0):
+            assert zone_counts(FIG5_CAMPAIGN, t).sum() == 10_000
 
-    def test_corner_drift(self, grid):
-        """After the travel time, corner zones gained, middle lost."""
-        pop = make_pop(grid, n=10_000)
-        before = pop.zone_counts()
-        for _ in range(700):
-            pop.step(1.0)
-        after = pop.zone_counts()
+    def test_corner_drift(self):
+        """After the travel time, corner regions gained, middle lost."""
+        before = zone_counts(FIG5_CAMPAIGN, 0.0)
+        after = zone_counts(FIG5_CAMPAIGN, 700.0)
         # Up-left and down-right corner regions gained.
         assert after[:2, :2].sum() > before[:2, :2].sum() * 2
         assert after[-2:, -2:].sum() > before[-2:, -2:].sum() * 2
         # Middle band drained.
         assert after[3:7, :].sum() < before[3:7, :].sum() * 0.8
+        # Per node (two rows each): the paper's corner-heavy shape.
+        per_node = after.reshape(5, 20).sum(axis=1)
+        assert per_node.tolist() == [3200, 1400, 800, 1400, 3200]
 
     def test_positions_stay_in_world(self, grid):
-        pop = make_pop(grid, n=1000)
-        for _ in range(200):
-            pop.step(5.0)
-        assert (pop.positions >= 0).all()
-        assert (pop.positions[:, 0] < grid.cols).all()
-        assert (pop.positions[:, 1] < grid.rows).all()
+        for t in (0.0, 125.0, 900.0):
+            counts = zone_counts(FIG5_CAMPAIGN, t)
+            assert counts.shape == (grid.rows, grid.cols)
+            assert (counts >= 0).all()
 
-    def test_deterministic_given_seed(self, grid):
-        a = make_pop(grid, n=500, seed=7)
-        b = make_pop(grid, n=500, seed=7)
-        for _ in range(10):
-            a.step(1.0)
-            b.step(1.0)
-        assert np.allclose(a.positions, b.positions)
+    def test_deterministic_given_seed(self):
+        """The allocation is a pure function of time: no seed enters it."""
+        a = zone_counts(FIG5_CAMPAIGN.with_overrides(seed=7), 120.0)
+        b = zone_counts(FIG5_CAMPAIGN.with_overrides(seed=8), 120.0)
+        assert np.array_equal(a, b)
 
-    def test_non_movers_stay_near_home(self, grid):
-        pop = make_pop(grid, n=5000)
-        start = pop.positions.copy()
-        for _ in range(600):
-            pop.step(1.0)
-        nonmovers = ~pop.movers
-        drift = np.linalg.norm(pop.positions[nonmovers] - start[nonmovers], axis=1)
-        assert np.median(drift) < 2.0  # jitter only
+    def test_non_movers_stay_near_home(self):
+        """Rows outside the band keep their clients, except the corner
+        regions that receive the movers."""
+        before = zone_counts(FIG5_CAMPAIGN, 0.0)
+        after = zone_counts(FIG5_CAMPAIGN, 600.0)
+        assert np.array_equal(after[2, :], before[2, :])
+        assert np.array_equal(after[7, :], before[7, :])
+        assert np.array_equal(after[:2, 2:], before[:2, 2:])
+        assert np.array_equal(after[-2:, :-2], before[-2:, :-2])
 
     def test_count_in_zone(self, grid):
-        pop = make_pop(grid, n=1000)
-        counts = pop.zone_counts()
+        counts = zone_counts(FIG5_CAMPAIGN, 50.0)
         assert counts.shape == (grid.rows, grid.cols)
-        assert counts.sum() == 1000
+        assert counts.sum() == 10_000
 
-    def test_empty_population_rejected(self, grid):
+    def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            make_pop(grid, n=0)
+            ScenarioSpec(clients=0)

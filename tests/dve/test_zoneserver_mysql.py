@@ -133,37 +133,40 @@ class TestZoneServer:
         assert cluster.nodes[0].kernel.cpu.demand_of(zs.proc) == 0.0
 
 
+def quick_fig5(duration):
+    """The quick Fig. 5 campaign, cut to ``duration`` seconds."""
+    from dataclasses import replace
+
+    from repro.analysis import FIG5_QUICK_CAMPAIGN
+
+    return FIG5_QUICK_CAMPAIGN.with_overrides(
+        scenario=replace(FIG5_QUICK_CAMPAIGN.scenario, duration=duration)
+    )
+
+
 class TestDVEScenarioSmall:
     def test_reduced_scenario_end_to_end(self):
-        from repro.dve import DVEScenario, DVEScenarioConfig, MovementConfig
+        from repro.analysis.fig5def import build_fig5_world, run_fig5
 
-        cfg = DVEScenarioConfig(
-            n_clients=3000,
-            duration=120.0,
-            load_balancing=True,
-            movement=MovementConfig(travel_time=80.0, mover_fraction=0.6),
-            zone_server=ZoneServerConfig(n_client_conns=1),
-            sample_interval=5.0,
-        )
-        res = DVEScenario(cfg).run()
+        campaign = quick_fig5(120.0)
+        world = build_fig5_world(campaign, load_balancing=True)
+        res = run_fig5(world, campaign)
         assert set(res.cpu.names()) == {f"node{i}" for i in range(1, 6)}
         assert sum(res.final_proc_counts().values()) == 100
-        assert sum(sum(row) for row in res.final_zone_counts) == 3000
+        assert sum(zs.population for zs in world.zone_servers) == 4000
+        # Every zone server carries its client connection and DB session.
+        assert all(len(zs.client_conns) == 1 for zs in world.zone_servers)
+        assert all(zs.db_session is not None for zs in world.zone_servers)
         # Sampling covered the run.
         start, end = res.cpu.common_window()
         assert end - start > 100
 
     def test_lb_off_has_no_migrations(self):
-        from repro.dve import DVEScenario, DVEScenarioConfig
+        from repro.analysis.fig5def import build_fig5_world, run_fig5
 
-        cfg = DVEScenarioConfig(
-            n_clients=1000,
-            duration=30.0,
-            load_balancing=False,
-            zone_server=ZoneServerConfig(n_client_conns=0),
-            with_connections=False,
-            sample_interval=5.0,
-        )
-        res = DVEScenario(cfg).run()
+        campaign = quick_fig5(30.0)
+        world = build_fig5_world(campaign, load_balancing=False)
+        res = run_fig5(world, campaign)
+        assert world.conductors == []
         assert res.migrations == []
         assert res.final_proc_counts() == {f"node{i}": 20 for i in range(1, 6)}

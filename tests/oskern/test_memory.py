@@ -122,8 +122,11 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("dense_limit", [None, 1], ids=["array", "dict"])
     def test_overlay_wins_over_versions(self, space, monkeypatch, dense_limit):
-        """``overlay`` reads exactly like merging it over ``versions``
-        first, for both page-store kinds, and ignores unmapped pages."""
+        """Restoring a ``PageBatch.overlay`` of newer pages on the staged
+        ones (the restart path) reads exactly like restoring the merged
+        dict, for both page-store kinds, and ignores unmapped pages."""
+        from repro.oskern.memory import PageBatch
+
         from repro.oskern import memory as memory_mod
 
         if dense_limit is not None:
@@ -135,7 +138,9 @@ class TestSnapshot:
         merged = AddressSpace()
         merged.load_snapshot(vmas, {**versions, **overlay})
         layered = AddressSpace()
-        layered.load_snapshot(vmas, versions, overlay=overlay)
+        layered.load_snapshot(
+            vmas, PageBatch.of(versions).ascending().overlay(PageBatch.of(overlay))
+        )
         assert layered.content_snapshot() == merged.content_snapshot()
         assert layered.page_version(a.start + 1) == 9
         assert layered.page_version(a.start + 2) == 0

@@ -4,9 +4,6 @@ fault-gapped achievement, telemetry, and seeded determinism."""
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
-from repro.dve.space import ZoneGrid
-from repro.dve.zoneserver import ZoneServer, ZoneServerConfig
 from repro.faults import FaultPlan, NodeCrash, install_faults
 from repro.scenarios import (
     BackgroundCycle,
@@ -17,28 +14,15 @@ from repro.scenarios import (
     ZipfZones,
     series_prefix,
 )
+from repro.scenarios.campaign import build_world
+from repro.scenarios.driver import allocate
 
 
 def build(spec, seed=42, metrics=False):
-    cluster = Cluster(
-        ClusterConfig(n_nodes=spec.nodes, with_db=False, master_seed=seed)
-    )
+    world = build_world(spec, seed=seed)
     if metrics:
-        cluster.enable_metrics()
-    grid = ZoneGrid(spec.grid_cols, spec.grid_rows, spec.nodes)
-    config = ZoneServerConfig(
-        memory_pages=spec.pages,
-        cpu_per_client=spec.cpu_per_client,
-        cpu_base=spec.cpu_base,
-    )
-    servers = []
-    for zone in grid.zones:
-        zs = ZoneServer(
-            cluster, cluster.nodes[grid.initial_node_of(zone)], zone, config=config
-        )
-        zs.start()
-        servers.append(zs)
-    return cluster, grid, servers
+        world.cluster.enable_metrics()
+    return world.cluster, world.grid, world.zone_servers
 
 
 class TestDriver:
@@ -159,9 +143,8 @@ class TestDriver:
             zones=ZipfZones(s=0.7),
         )
         cluster, grid, servers = build(spec)
-        driver = ScenarioDriver(cluster, grid, servers, spec)
-        w = spec.zones.weights(8, 0.0)
-        a = driver._allocate(97, w, 0.0)
-        b = driver._allocate(97, w, 0.0)
+        w = spec.zones.weights(grid, 0.0)
+        a = allocate(spec, 97, w, 0.0)
+        b = allocate(spec, 97, w, 0.0)
         assert np.array_equal(a, b)
         assert a.sum() == 97

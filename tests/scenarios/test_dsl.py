@@ -42,7 +42,12 @@ _zones = st.one_of(
     st.builds(UniformZones),
     st.builds(ZipfZones, s=st.floats(0.1, 3, allow_nan=False).map(lambda x: round(x, 3))),
     st.builds(RotatingHotspot, period=_times, amp=_fracs),
-    st.builds(CornerDrift, travel=_times, mass=_fracs),
+    st.builds(
+        CornerDrift,
+        travel=_times,
+        mass=_fracs,
+        band=st.floats(0.001, 1, allow_nan=False).map(lambda x: round(x, 3)),
+    ),
 )
 
 _specs = st.builds(
@@ -56,6 +61,8 @@ _specs = st.builds(
     cpu_per_client=st.floats(0.0001, 0.05, allow_nan=False).map(lambda x: round(x, 6)),
     cpu_base=_fracs,
     pages=st.integers(1, 512),
+    conns=st.integers(0, 8),
+    db=st.booleans(),
     shapes=st.lists(_shapes, max_size=3),
     zones=_zones,
     background=st.none() | st.builds(
@@ -111,6 +118,8 @@ MALFORMED = [
     ("chain link gain=1", "link", "expected 'chain depend"),
     ("dirty pages", "pages", "expected 'dirty hotset"),
     ("grid 4x3\nnodes 2", "<spec>", "cannot split evenly"),
+    ("server db=yes", "db=yes", "bad db value"),
+    ("zones corners band=2", "zones corners", "band must be in (0, 1]"),
 ]
 
 
