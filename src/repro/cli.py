@@ -72,6 +72,18 @@ def _sweep_config(args):
     return SweepConfig(repetitions=2, seed=args.seed, trace_dir=trace_dir)
 
 
+def _fig4_config(args):
+    from .openarena import Fig4Config
+
+    trace_dir = getattr(args, "trace_dir", None)
+    if args.quick:
+        return Fig4Config(
+            seed=args.seed, warmup=1.5, cooldown=1.5, phase_sweep=(0.0, 0.5),
+            trace_dir=trace_dir,
+        )
+    return Fig4Config(seed=args.seed, trace_dir=trace_dir)
+
+
 def _fig5_campaign(args):
     from .analysis import FIG5_CAMPAIGN, FIG5_QUICK_CAMPAIGN
 
@@ -88,16 +100,8 @@ def _export_series(bundle, path: Path) -> None:
 
 def run_fig4_cmd(args) -> None:
     from .analysis import render_fig4, run_fig4
-    from .openarena import Fig4Config
 
-    trace_dir = getattr(args, "trace_dir", None)
-    cfg = Fig4Config(seed=args.seed, trace_dir=trace_dir)
-    if args.quick:
-        cfg = Fig4Config(
-            seed=args.seed, warmup=1.5, cooldown=1.5, phase_sweep=(0.0, 0.5),
-            trace_dir=trace_dir,
-        )
-    result = run_fig4(cfg)
+    result = run_fig4(_fig4_config(args))
     print(render_fig4(result))
     if args.out:
         from .analysis.export import fig4_to_csv
@@ -105,6 +109,7 @@ def run_fig4_cmd(args) -> None:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "fig4_timeline.csv").write_text(fig4_to_csv(result))
         print(f"wrote {args.out / 'fig4_timeline.csv'}")
+    trace_dir = getattr(args, "trace_dir", None)
     if trace_dir is not None:
         print(f"wrote {trace_dir / 'fig4_worst.jsonl'}")
 

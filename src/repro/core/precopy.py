@@ -33,6 +33,21 @@ from .tracking import VMATracker
 
 __all__ = ["LiveMigrationConfig", "LiveMigrationEngine", "migrate_process"]
 
+#: Auto-convergence: a round is "hot" when the bytes dirtied over the
+#: inter-round interval exceed this fraction of the bytes the channel
+#: moved in the same interval (QEMU's auto-converge criterion: a
+#: workload re-dirtying more than half of what each round ships never
+#: converges by iterating alone).
+CONVERGE_HOT_FRACTION = 0.5
+#: Consecutive hot rounds before a throttle step is applied.
+CONVERGE_ROUNDS = 2
+#: First throttle step (fraction of CPU taken away).
+CONVERGE_INITIAL_THROTTLE = 0.2
+#: Increment per further step.
+CONVERGE_STEP = 0.1
+#: Hard cap on the fraction taken away.
+CONVERGE_MAX_THROTTLE = 0.99
+
 
 @dataclass(frozen=True)
 class LiveMigrationConfig:
@@ -77,25 +92,11 @@ class LiveMigrationConfig:
     #: | ``xbzrle`` (delta against the previous round's version map).
     compression: str = "none"
     #: Auto-convergence (precopy only): when the per-round dirty rate
-    #: exceeds :attr:`converge_hot_fraction` of the channel's effective
-    #: bandwidth for :attr:`converge_rounds` consecutive rounds,
+    #: exceeds :data:`CONVERGE_HOT_FRACTION` of the channel's effective
+    #: bandwidth for :data:`CONVERGE_ROUNDS` consecutive rounds,
     #: throttle the workload's CPU share in steps so the dirty rate
     #: falls and the precopy loop provably converges.
     auto_converge: bool = False
-    #: A round is "hot" when the bytes dirtied over the inter-round
-    #: interval exceed this fraction of the bytes the channel moved in
-    #: the same interval (QEMU's auto-converge criterion: a workload
-    #: re-dirtying more than half of what each round ships never
-    #: converges by iterating alone).
-    converge_hot_fraction: float = 0.5
-    #: Consecutive hot rounds before a throttle step is applied.
-    converge_rounds: int = 2
-    #: First throttle step (fraction of CPU taken away).
-    converge_initial_throttle: float = 0.2
-    #: Increment per further step.
-    converge_step: float = 0.1
-    #: Hard cap on the fraction taken away.
-    converge_max_throttle: float = 0.99
 
     def with_overrides(self, **kw) -> "LiveMigrationConfig":
         return replace(self, **kw)
@@ -327,7 +328,7 @@ class LiveMigrationEngine:
                         )
 
                 # Auto-convergence: a round that dirtied more than
-                # ``converge_hot_fraction`` of what the channel moved
+                # ``CONVERGE_HOT_FRACTION`` of what the channel moved
                 # over the same inter-round interval is "hot" (the
                 # residual set is not shrinking); K consecutive hot
                 # rounds escalate the workload throttle one step.
@@ -335,11 +336,11 @@ class LiveMigrationEngine:
                     interval = round_start - prev_round_start
                     dirty_rate = page_bytes / interval if interval > 0 else 0.0
                     bandwidth = prev_nbytes / interval if interval > 0 else 0.0
-                    if dirty_rate > cfg.converge_hot_fraction * bandwidth:
+                    if dirty_rate > CONVERGE_HOT_FRACTION * bandwidth:
                         hot_rounds += 1
                     else:
                         hot_rounds = 0
-                    if hot_rounds >= cfg.converge_rounds:
+                    if hot_rounds >= CONVERGE_ROUNDS:
                         hot_rounds = 0
                         self._escalate_throttle(dirty_rate, bandwidth)
                 prev_round_start = round_start
@@ -617,14 +618,13 @@ class LiveMigrationEngine:
     def _escalate_throttle(self, dirty_rate: float, bandwidth: float) -> None:
         """One throttle step: take a larger CPU fraction away from the
         workload so its dirty rate falls below the channel bandwidth."""
-        cfg = self.config
         report = self.report
         now = self.env.now
         if self._throttle > 0.0:
             report.throttled_seconds += (now - self._throttle_since) * self._throttle
-            new = min(cfg.converge_max_throttle, self._throttle + cfg.converge_step)
+            new = min(CONVERGE_MAX_THROTTLE, self._throttle + CONVERGE_STEP)
         else:
-            new = min(cfg.converge_max_throttle, cfg.converge_initial_throttle)
+            new = min(CONVERGE_MAX_THROTTLE, CONVERGE_INITIAL_THROTTLE)
         self._throttle = new
         self._throttle_since = now
         self.source.kernel.cpu.set_throttle(self.proc, 1.0 - new)

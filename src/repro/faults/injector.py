@@ -75,7 +75,6 @@ class FaultInjector:
         self._armed = False
         #: Link-scope faults grouped by the link they filter.
         self._link_faults: dict[str, list[_WindowedLinkFault]] = {}
-        self._filtered_links: list[Link] = []
         #: Pending one-shot migd aborts, consumed at delivery.
         self._pending_aborts: list[MigdAbort] = []
         #: Hosts taken down permanently; a stall's resume never
@@ -114,7 +113,6 @@ class FaultInjector:
         for target, faults in self._link_faults.items():
             link = self._resolve_link(target)
             link.set_fault_filter(self._make_filter(link, faults))
-            self._filtered_links.append(link)
 
         metrics = self.env.metrics
         if metrics is not None:
@@ -125,15 +123,6 @@ class FaultInjector:
             )
             metrics.gauge("faults.migd_aborts", fn=lambda: self.migd_aborts)
         return self
-
-    def disarm(self) -> None:
-        """Detach from the environment and remove the link filters.
-        Already-downed interfaces stay down."""
-        for link in self._filtered_links:
-            link.clear_fault_filter()
-        self._filtered_links.clear()
-        if self.env.faults is self:
-            self.env.faults = None
 
     # -- resolution -----------------------------------------------------------
     def _resolve_link(self, target: str) -> Link:

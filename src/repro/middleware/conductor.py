@@ -46,6 +46,22 @@ __all__ = ["CONDUCTOR_PORT", "ConductorConfig", "Conductor", "install_conductor"
 
 CONDUCTOR_PORT = 7300
 
+#: atop sampling period (seconds).
+MONITOR_INTERVAL = 1.0
+#: Heartbeat period for the information policy (seconds).
+HEARTBEAT_INTERVAL = 1.0
+#: Heartbeat-period jitter fraction (±10%), drawn from a per-node
+#: seeded stream, so a cluster's conductors neither heartbeat in
+#: lockstep nor desynchronize between runs.
+HEARTBEAT_JITTER = 0.1
+#: Control RPCs to peers (discover, reserve) fail after this much
+#: silence instead of hanging the calling loop — a crashed or
+#: partitioned peer must look like an error, not a stuck conductor.
+PEER_RPC_TIMEOUT = 2.0
+#: Retry-with-backoff budget applied when a migration attempt fails
+#: and other ranked candidates remain.
+RETRY = RetryPolicy()
+
 
 @dataclass
 class ConductorConfig:
@@ -55,31 +71,16 @@ class ConductorConfig:
     migration: LiveMigrationConfig = dataclass_field(default_factory=LiveMigrationConfig)
     #: Balance-decision period (seconds).
     check_interval: float = 1.0
-    #: atop sampling period.
-    monitor_interval: float = 1.0
     #: Heartbeats older than this mark a departed peer.
     peer_stale_timeout: float = 5.0
-    #: Control RPCs to peers (discover, reserve) fail after this much
-    #: silence instead of hanging the calling loop — a crashed or
-    #: partitioned peer must look like an error, not a stuck conductor.
-    peer_rpc_timeout: float = 2.0
     #: Failure detector: silence past this marks a peer *suspect* (no
     #: new work is sent its way) ...
     suspect_timeout: float = 2.5
     #: ... and past this marks it *dead* (in-flight sessions targeting
     #: it should abort, roll back and retry elsewhere).
     dead_timeout: float = 5.0
-    #: Heartbeat-period jitter fraction (±10% by default), drawn from a
-    #: per-node seeded stream, so a cluster's conductors neither
-    #: heartbeat in lockstep nor desynchronize between runs.
-    heartbeat_jitter: float = 0.1
-    #: Retry-with-backoff budget applied when a migration attempt fails
-    #: and other ranked candidates remain.
-    retry: RetryPolicy = dataclass_field(default_factory=RetryPolicy)
     #: Indicator stabilisation period after a migration (Section IV-A).
     calm_down: float = 10.0
-    #: How many ranked receiver candidates to try per round.
-    max_candidates: int = 3
     #: Concurrent migration sessions this node admits (inbound and
     #: outbound share the capacity).  1 = the paper's single slot; >1
     #: lets the balance loop launch several sessions per round.
@@ -142,7 +143,7 @@ class Conductor:
         self.resolve_host = resolve_host
         self.scan_ips = [ip for ip in scan_ips if ip != host.local_ip]
 
-        self.monitor = LoadMonitor(host, interval=cfg.monitor_interval)
+        self.monitor = LoadMonitor(host, interval=MONITOR_INTERVAL)
         self.peers = PeerDatabase(stale_timeout=cfg.peer_stale_timeout)
         self.detector = FailureDetector(
             self.env,
@@ -319,14 +320,14 @@ class Conductor:
                     CONDUCTOR_PORT,
                     {"op": "discover", "info": self.load_info()},
                     size=128,
-                    timeout=self.config.peer_rpc_timeout,
+                    timeout=PEER_RPC_TIMEOUT,
                 )
                 self.peers.update(reply["info"])
             except Exception:
                 continue  # nobody answering on that address
 
     def _heartbeat_loop(self):
-        # Jitter each period by ±heartbeat_jitter, from a per-node
+        # Jitter each period by ±HEARTBEAT_JITTER, from a per-node
         # seeded stream (same deterministic-hash trick as the balance
         # loop's phase offset): conductors drift apart instead of
         # heartbeating in lockstep, yet every run replays identically.
@@ -337,11 +338,10 @@ class Conductor:
         jitter_rng = np.random.default_rng(
             zlib.crc32(self.host.local_ip.value.encode())
         )
-        jitter = self.config.heartbeat_jitter
         while True:
-            period = self.config.policies.heartbeat_interval
-            if jitter:
-                period *= 1.0 + jitter * (2.0 * jitter_rng.random() - 1.0)
+            period = HEARTBEAT_INTERVAL * (
+                1.0 + HEARTBEAT_JITTER * (2.0 * jitter_rng.random() - 1.0)
+            )
             yield self.env.timeout(period)
             self.peers.prune_stale(self.env.now)
             self.detector.check()
@@ -405,15 +405,14 @@ class Conductor:
         me = self.host.name
         if not self.admission.try_reserve(me):
             return {"success": False, "attempts": 0, "reserved": False}
-        policy = self.config.retry
         tr = self.env.tracer
         attempt = 0
         failed = 0
         for candidate in candidates:
-            if attempt >= policy.max_attempts:
+            if attempt >= RETRY.max_attempts:
                 break
             if attempt > 0:
-                delay = policy.backoff(attempt - 1)
+                delay = RETRY.backoff(attempt - 1)
                 if tr.enabled:
                     tr.event(
                         "recover.backoff",
@@ -441,7 +440,7 @@ class Conductor:
                     CONDUCTOR_PORT,
                     {"op": "reserve", "sender": me},
                     size=96,
-                    timeout=self.config.peer_rpc_timeout,
+                    timeout=PEER_RPC_TIMEOUT,
                 )
             except Exception:
                 attempt += 1

@@ -11,7 +11,8 @@ Krueger/Singhal's taxonomy [17]).
 - *Selection policy*: pick the process whose CPU share best matches the
   local-load-minus-average difference.
 - *Information policy*: periodic broadcast of load heartbeats — the
-  conductor's heartbeat loop, every ``PolicyConfig.heartbeat_interval``.
+  conductor's heartbeat loop, every
+  :data:`~repro.middleware.conductor.HEARTBEAT_INTERVAL`.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ class PolicyConfig:
     min_share: float = 0.5
     #: Don't pick a process bigger than target_diff * this factor.
     max_overshoot: float = 1.8
-    #: Heartbeat period for the information policy (seconds).
-    heartbeat_interval: float = 1.0
 
 
 class TransferPolicy:

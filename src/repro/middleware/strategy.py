@@ -86,6 +86,8 @@ __all__ = [
 #: Samples of per-node load history the planner retains for strategies
 #: (at one sample per balance round, ~4 minutes at the default period).
 HISTORY_SAMPLES = 256
+#: Ranked receiver candidates a migration action tries.
+MAX_CANDIDATES = 3
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +975,7 @@ class Planner:
             first = False
             outcome = yield from cond._try_migrate(
                 action.proc,
-                list(action.candidates)[: cond.config.max_candidates],
+                list(action.candidates)[:MAX_CANDIDATES],
                 cause=action.causal_ref,
             )
             self._account(action, outcome)
@@ -1002,7 +1004,7 @@ class Planner:
         try:
             outcome = yield from cond._try_migrate(
                 action.proc,
-                list(action.candidates)[: cond.config.max_candidates],
+                list(action.candidates)[:MAX_CANDIDATES],
                 cause=action.causal_ref,
             )
             self._account(action, outcome)
@@ -1038,7 +1040,7 @@ class Planner:
             ]
             outcome = yield from cond._try_migrate(
                 action.proc,
-                candidates[: cond.config.max_candidates],
+                candidates[:MAX_CANDIDATES],
                 cause=action.causal_ref,
             )
             self._account(action, outcome)

@@ -161,9 +161,6 @@ class Link:
             raise RuntimeError(f"link {self.name!r} already has a fault filter")
         self._fault_filter = fn
 
-    def clear_fault_filter(self) -> None:
-        self._fault_filter = None
-
     def tx_time(self, packet: Packet) -> float:
         """Serialization time of a packet on this link."""
         return packet.size * 8 / self.bandwidth_bps

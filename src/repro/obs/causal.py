@@ -97,22 +97,6 @@ class CausalGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def effects_of(self, cid: int) -> list[CausalNode]:
-        """Direct effects of node ``cid`` (outgoing edges)."""
-        return [
-            self.nodes[e.dst]
-            for e in self.edges
-            if e.src == cid and e.dst in self.nodes
-        ]
-
-    def causes_of(self, cid: int) -> list[CausalNode]:
-        """Direct causes of node ``cid`` (incoming edges)."""
-        return [
-            self.nodes[e.src]
-            for e in self.edges
-            if e.dst == cid and e.src in self.nodes
-        ]
-
     def chain(self, cid: int) -> list[CausalNode]:
         """The cause chain ending at ``cid`` (root first): walk incoming
         ``caused_by`` edges backwards, earliest cause first

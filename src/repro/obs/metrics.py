@@ -236,11 +236,6 @@ class MetricsRegistry:
             self._metrics[name] = h
         return h  # type: ignore[return-value]
 
-    def kind_of(self, name: str) -> Optional[str]:
-        """``"counter"`` / ``"gauge"`` / ``"histogram"``, or ``None``."""
-        m = self._metrics.get(name)
-        return None if m is None else type(m).__name__.lower()
-
     def names(self) -> list[str]:
         return sorted(self._metrics)
 

@@ -33,9 +33,12 @@ regression gate, not a one-off demo.  A dozen named campaigns ship in
 :data:`NAMED_CAMPAIGNS` (``repro-campaign list``).
 
 Determinism: the campaign seed feeds the cluster's master
-:class:`~repro.des.RngRegistry` (scenario churn, fault packet verdicts,
-heartbeat jitter, strategy rngs all derive from it), so re-running any
-campaign with the same seed yields byte-identical traces.
+:class:`~repro.des.RngRegistry` (scenario churn and fault packet
+verdicts derive from it) and the conductors' strategy rngs
+(``ConductorConfig.seed``, combined with each node's address), so
+re-running any campaign with the same seed yields byte-identical
+traces.  Heartbeat jitter does not depend on the seed:
+``Conductor._heartbeat_loop`` seeds it from the node address alone.
 """
 
 from __future__ import annotations

@@ -68,16 +68,6 @@ class TestRegistry:
         ):
             reg.histogram("x")
 
-    def test_kind_of(self):
-        reg = MetricsRegistry()
-        reg.counter("c")
-        reg.gauge("g")
-        reg.histogram("h")
-        assert reg.kind_of("c") == "counter"
-        assert reg.kind_of("g") == "gauge"
-        assert reg.kind_of("h") == "histogram"
-        assert reg.kind_of("nope") is None
-
     def test_gauge_fn_rebind(self):
         reg = MetricsRegistry()
         reg.gauge("g", fn=lambda: 1)
