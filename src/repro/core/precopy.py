@@ -411,13 +411,13 @@ class LiveMigrationEngine:
             postcopy_store: Optional[PostcopySource] = None
             if postcopy_mode:
                 # Post-copy freeze ships the page *map* only: the
-                # contents of every still-dirty page stay behind in a
-                # source-side store (for pure post-copy that is the
-                # whole address space — nothing was ever dumped, so
-                # every page still has its dirty bit from mmap).
-                absent_extents = space.dirty_extents()
-                store_pages = space.dirty_version_map()
-                space.clear_dirty()
+                # contents stay behind in a source-side store — every
+                # still-dirty page after a full copy, else (pure
+                # post-copy) every mapped page, since a process that
+                # arrived by migration holds clean pages the new
+                # destination has never seen.
+                store_pages, _ = dump_pages(proc, dirty_only=self._full_copy_done)
+                absent_extents = [(start, end) for start, end, _ in store_pages.runs()]
                 pages, page_bytes = PageBatch.empty(), 0
                 dump_cpu = costs.pte_scan_cost * space.total_pages
                 postcopy_store = PostcopySource(sid, store_pages, absent_extents)

@@ -1,32 +1,24 @@
 """Discrete-event simulation kernel (substrate).
 
 A compact, dependency-free simulation core in the style of SimPy:
-generator-based processes, an event heap, timeouts, conditions, stores
-and counted resources, plus reproducible named RNG streams and
-time-series recorders used by the experiment harnesses.
+generator-based processes, an event heap, timeouts and an all-of
+condition, plus reproducible named RNG streams and time-series
+recorders used by the experiment harnesses.
 """
 
-from .engine import EmptySchedule, Environment, StopSimulation
-from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
+from .engine import Environment, StopSimulation
+from .events import AllOf, Event, Timeout
 from .monitor import SeriesBundle, TimeSeries
-from .process import Interrupt, Process
-from .resources import Resource, Store
+from .process import Process
 from .rng import RngRegistry
 
 __all__ = [
     "Environment",
-    "EmptySchedule",
     "StopSimulation",
     "Event",
     "Timeout",
-    "Condition",
-    "ConditionValue",
     "AllOf",
-    "AnyOf",
     "Process",
-    "Interrupt",
-    "Store",
-    "Resource",
     "RngRegistry",
     "TimeSeries",
     "SeriesBundle",

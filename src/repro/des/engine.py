@@ -10,11 +10,7 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from .events import NORMAL, URGENT, AllOf, Deferred, Event, Timeout
 from .process import Process
 
-__all__ = ["Environment", "EmptySchedule", "StopSimulation"]
-
-
-class EmptySchedule(Exception):
-    """Raised (internally) when the event heap runs dry."""
+__all__ = ["Environment", "StopSimulation"]
 
 
 class StopSimulation(Exception):
@@ -39,8 +35,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
-        #: Event processed most recently (debugging aid).
-        self._active_proc: Optional[Process] = None
         #: Structured tracer (see :mod:`repro.obs`).  The default is the
         #: shared no-op tracer; call :meth:`enable_tracing` to record.
         #: Hot call sites guard with ``if env.tracer.enabled:``.
@@ -58,11 +52,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time, in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process whose generator is currently executing, if any."""
-        return self._active_proc
 
     # -- observability -------------------------------------------------------
     def enable_tracing(
@@ -140,29 +129,6 @@ class Environment:
             self._queue, (self._now + delay, NORMAL, self._eid, Deferred(fn, arg))
         )
 
-    def step(self) -> None:
-        """Process the next event.  Raises :class:`EmptySchedule` if none."""
-        try:
-            self._now, _, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-
-        if type(event) is Deferred:
-            event.fn(event.arg)
-            return
-
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event.defused:
-            # An un-handled failure crashes the simulation: it is a bug in
-            # the model, never a modelled condition.
-            exc = event._value
-            raise exc
-
     # -- run loop -----------------------------------------------------------
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -202,9 +168,8 @@ class Environment:
             self.schedule(at, delay=horizon - self._now, priority=URGENT)
             at.callbacks.append(StopSimulation.callback)
 
-        # Inlined step() loop: the per-event overhead here bounds total
-        # simulation throughput, so avoid the method call and the
-        # EmptySchedule exception round-trip per event.
+        # The per-event overhead of this loop bounds total simulation
+        # throughput, so it is kept flat: no per-event method call.
         queue = self._queue
         pop = heapq.heappop
         try:

@@ -3,8 +3,7 @@
 The design follows the classic callback-event model (as popularized by
 SimPy): an :class:`Event` is a one-shot value container that may *succeed*
 or *fail*; callbacks registered on it run when the environment processes
-it.  Composite conditions (:class:`AllOf`, :class:`AnyOf`) allow processes
-to wait on several events at once.
+it.  :class:`AllOf` lets a process wait on several events at once.
 """
 
 from __future__ import annotations
@@ -15,15 +14,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Environment
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "Condition",
-    "AllOf",
-    "AnyOf",
-    "ConditionValue",
-    "EventAlreadyTriggered",
-]
+__all__ = ["Event", "Timeout", "AllOf", "EventAlreadyTriggered"]
 
 #: Sentinel stored in :attr:`Event._value` before the event has a value.
 PENDING = object()
@@ -126,25 +117,7 @@ class Event:
         heappush(env._queue, (env._now, NORMAL, env._eid, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state/value of another event.
-
-        Useful as a callback to chain events.
-        """
-        if self._value is not PENDING:
-            raise EventAlreadyTriggered(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        env = self.env
-        env._eid += 1
-        heappush(env._queue, (env._now, NORMAL, env._eid, self))
-
     # -- failure bookkeeping ----------------------------------------------
-    @property
-    def defused(self) -> bool:
-        """True if a failed event's exception has been handled."""
-        return self._defused
-
     def defuse(self) -> None:
         """Mark a failed event as handled so the env does not crash."""
         self._defused = True
@@ -164,8 +137,8 @@ class Timeout(Event):
     slots directly and pushes its own heap entry instead of going
     through ``Event.__init__`` + ``Environment.schedule``.  Timeouts are
     deliberately *not* pooled: user code may keep references to a
-    processed timeout (conditions re-read sub-event state, processes
-    inspect ``.value``), so recycling one would corrupt observable state.
+    processed timeout (:class:`AllOf` re-reads sub-event values,
+    processes inspect ``.value``), so recycling one would corrupt observable state.
     """
 
     __slots__ = ("delay",)
@@ -186,125 +159,39 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
 
 
-class ConditionValue:
-    """Ordered mapping of event -> value produced by a condition.
+class AllOf(Event):
+    """Triggers once *all* of the given events have been processed.
 
-    Preserves the order in which events were passed to the condition so
-    that ``list(result.values())`` is deterministic.
+    Its value maps each event to its value, in the order the events were
+    given.  If any event fails, the first failure to be processed fails
+    this event with the same exception (and is marked handled).
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("_events", "_pending")
 
-    def __init__(self, events: list[Event]) -> None:
-        self.events = events
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key.value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self) -> list[Event]:
-        return list(self.events)
-
-    def values(self) -> list[Any]:
-        return [e.value for e in self.events]
-
-    def items(self):
-        return [(e, e.value) for e in self.events]
-
-    def todict(self) -> dict[Event, Any]:
-        return {e: e.value for e in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Composite event that triggers when ``evaluate`` says so.
-
-    ``evaluate(events, count)`` receives the tuple of sub-events and the
-    number already processed; returns True when the condition holds.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[tuple[Event, ...], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = tuple(events)
-        self._count = 0
-
         for event in self._events:
             if event.env is not env:
                 raise ValueError("events belong to different environments")
-
-        # Immediately true for an empty set of events.
-        if self._evaluate(self._events, 0) and not self._events:
-            self.succeed(ConditionValue([]))
+        self._pending = len(self._events)
+        if not self._events:
+            self.succeed({})
             return
-
         for event in self._events:
-            if event.processed:
+            if event.callbacks is None:
                 self._check(event)
             else:
-                assert event.callbacks is not None
                 event.callbacks.append(self._check)
 
-    def _collect_values(self) -> ConditionValue:
-        # ``processed`` (not ``triggered``): a Timeout is triggered at
-        # construction, long before it actually fires.
-        return ConditionValue([e for e in self._events if e.processed])
-
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
-        self._count += 1
         if not event._ok:
-            # Any sub-event failure fails the whole condition.
             event.defuse()
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: tuple[Event, ...], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: tuple[Event, ...], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Triggers when *all* of the given events have triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Triggers when *any* of the given events has triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)
+            return
+        self._pending -= 1
+        if not self._pending:
+            self.succeed({e: e._value for e in self._events})

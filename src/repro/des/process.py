@@ -9,35 +9,20 @@ succeed with the generator's return value.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from .events import PENDING, URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
-__all__ = ["Process", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupted process may catch it and continue; ``cause`` carries
-    arbitrary context from the interrupter.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
+__all__ = ["Process"]
 
 
 class Process(Event):
     """A running simulated activity wrapping a generator."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -50,8 +35,6 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: Event this process currently waits on (None once finished).
-        self._target: Optional[Event] = None
 
         # Kick off the generator via an immediately-scheduled init event.
         init = Event(env)
@@ -59,49 +42,16 @@ class Process(Event):
         init._value = None
         init.callbacks.append(self._resume)
         env.schedule(init, priority=URGENT)
-        self._target = init
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
 
     @property
     def is_alive(self) -> bool:
         """True until the generator has finished."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a
-        process twice before it resumes queues both interrupts.
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self.env.active_process is self:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event.defuse()
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, priority=URGENT)
-
     # -- driver -------------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        if self._value is not PENDING:
-            # The process terminated while an interrupt was in flight.
-            return
-
         env = self.env
-        prev_active, env._active_proc = env._active_proc, self
-
-        # Detach from the awaited event so stale wakeups are ignored.
-        self._target = None
-
         while True:
             try:
                 if event._ok:
@@ -132,13 +82,10 @@ class Process(Event):
             if next_target.callbacks is not None:
                 # Not yet processed: register and go to sleep.
                 next_target.callbacks.append(self._resume)
-                self._target = next_target
                 break
 
             # Already processed: loop and feed its value in immediately.
             event = next_target
-
-        env._active_proc = prev_active
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} at {id(self):#x}>"

@@ -161,6 +161,7 @@ class ZoneServer:
             )
         self.neighbor_sock = sock
         self.env.process(self._neighbor_rx(sock), name="zs-neigh-rx")
+        self.env.process(self._neighbor_loop(), name=f"zs{self.zone.zone_id}-nb")
 
     def _neighbor_rx(self, sock: TCPSocket):
         while True:
@@ -170,16 +171,15 @@ class ZoneServer:
             self.neighbor_msgs_received += 1
 
     def _neighbor_loop(self):
+        """Boundary sync to the east neighbour, every
+        ``neighbor_sync_interval`` from the moment the link is up."""
         cfg = self.config
         while True:
             yield from self.proc.check_frozen()
             yield self.env.timeout(cfg.neighbor_sync_interval)
             yield from self.proc.check_frozen()
-            if self.neighbor_sock is not None:
-                self.neighbor_sock.send(
-                    ("boundary", self.zone.zone_id), cfg.neighbor_sync_bytes
-                )
-                self.neighbor_msgs_sent += 1
+            self.neighbor_sock.send(("boundary", self.zone.zone_id), cfg.neighbor_sync_bytes)
+            self.neighbor_msgs_sent += 1
 
     @property
     def state_area(self):
@@ -220,9 +220,6 @@ class ZoneServer:
             self.env.process(self._fluid_loop(), name=f"zs{self.zone.zone_id}-rt")
         if self.db_session is not None:
             self.env.process(self._db_loop(), name=f"zs{self.zone.zone_id}-db")
-        # Runs regardless: the neighbour link may be connected after
-        # start() (the scenario wires links once all servers exist).
-        self.env.process(self._neighbor_loop(), name=f"zs{self.zone.zone_id}-nb")
 
     def _dirty(self, pages: int) -> None:
         pages = min(pages, self._state.npages)

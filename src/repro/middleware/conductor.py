@@ -386,12 +386,15 @@ class Conductor:
     ):
         """Walk the ranked candidates with retry-with-backoff.
 
-        A failed attempt leaves the process safe on the source (the
-        engine rolled back), so recovery is policy: back off, consult
-        the failure detector again, and try the next candidate, until
-        the retry budget runs out.  A reserve that goes unanswered also
-        burns an attempt — that silence is exactly what a dead
-        destination looks like before the detector has declared it.
+        A failed attempt normally leaves the process safe on the source
+        (the engine rolled back), so recovery is policy: back off,
+        consult the failure detector again, and try the next candidate,
+        until the retry budget runs out.  A failed post-copy attempt has
+        nothing to roll back to once execution moved: the walk stops and
+        management follows the process to the destination.  A reserve
+        that goes unanswered also burns an attempt — that silence is
+        exactly what a dead destination looks like before the detector
+        has declared it.
 
         ``cause`` is the causal id of the plan action that requested the
         migration (0 = none); in the trace the recovery decisions and
@@ -408,6 +411,7 @@ class Conductor:
         tr = self.env.tracer
         attempt = 0
         failed = 0
+        landed = False
         for candidate in candidates:
             if attempt >= RETRY.max_attempts:
                 break
@@ -483,6 +487,7 @@ class Conductor:
                     attempt=attempt,
                 )
             report: MigrationReport = yield engine.start()
+            landed = proc.kernel is not self.host.kernel
             self.events.append(
                 MigrationEvent(
                     time=self.env.now,
@@ -496,14 +501,15 @@ class Conductor:
                 )
             )
             # Release the receiver's slot either way; only a committed
-            # release transfers management of the process to it.
+            # release (the process runs there now) transfers management
+            # of the process to it.
             self.host.control.send(
                 candidate.local_ip,
                 CONDUCTOR_PORT,
                 {
                     "op": "release",
                     "sender": me,
-                    "committed": report.success,
+                    "committed": landed,
                     "pid": proc.pid,
                 },
                 size=96,
@@ -514,6 +520,10 @@ class Conductor:
                 return {"success": True, "attempts": attempt, "reserved": True}
             attempt += 1
             failed += 1
+            if landed:
+                # No rollback: there is nothing left to retry from here.
+                self.unmanage(proc)
+                break
             self.retries_total += 1
             if tr.enabled:
                 tr.event(
@@ -537,8 +547,9 @@ class Conductor:
                     attempts=attempt,
                 )
         # Nobody accepted (or nothing landed): abort our own reservation
-        # without calm-down — the process is still here to balance.
-        self.admission.release(me, start_calm_down=False)
+        # without calm-down — the process is still here to balance —
+        # unless a failed post-copy left it on the destination.
+        self.admission.release(me, start_calm_down=landed)
         return {"success": False, "attempts": attempt, "reserved": True}
 
 

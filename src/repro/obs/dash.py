@@ -111,7 +111,7 @@ def render_planner_panel(events) -> str:
 
     One row per (node, strategy): plans emitted, actions planned, and a
     fate tally.  Empty string when the trace has no ``plan.*`` records
-    (the default paper-threshold strategy keeps plan tracing off).
+    (no planner produced a plan with actions while tracing was on).
     """
     from ..analysis.report import render_table
 

@@ -21,9 +21,7 @@ write path is batched instead of per-page:
   ``[start, end)`` runs kept as a flat boundary list, so marking a range
   dirty is an O(log n) interval merge rather than a per-page loop;
 * versions live in one flat ``array('Q')`` per VMA, indexed by page
-  offset (a dict keyed by offset stands in only for *sparse* VMAs above
-  :data:`_DENSE_LIMIT_PAGES`, where a flat array would waste memory).
-  Writes only record ``+1 at start, -1 at end`` boundary deltas — a
+  offset.  Writes only record ``+1 at start, -1 at end`` boundary deltas — a
   difference array — and the arrays are *materialized lazily* at
   read/dump time by one sweep over the accumulated boundaries, applied
   as numpy slice additions.  Re-dirtying the same hot ranges many
@@ -60,16 +58,6 @@ from .costs import PAGE_SIZE
 __all__ = ["VMArea", "AddressSpace", "ExtentSet", "PageBatch", "PAGE_SIZE"]
 
 _vma_ids = itertools.count(1)
-
-#: VMAs at or above this page count get a dict-backed sparse store
-#: instead of a flat ``array('Q')`` (8 bytes per page up front).  1M
-#: pages = a 4 GiB mapping = an 8 MiB version array; anything bigger is
-#: a sparse giant mapping that would mostly hold zeros.
-_DENSE_LIMIT_PAGES = 1 << 20
-
-#: A page store: flat version array indexed by page offset within the
-#: VMA, or (sparse fallback) offset -> version with an implicit 0.
-PageStore = Union["array[int]", dict]
 
 
 @dataclass
@@ -378,10 +366,8 @@ class PageBatch(Mapping):
         ]
 
 
-def _new_store(npages: int) -> PageStore:
+def _new_store(npages: int) -> "array[int]":
     """Zero-version page store for a fresh mapping."""
-    if npages >= _DENSE_LIMIT_PAGES:
-        return {}
     return array("Q", bytes(8 * npages))
 
 
@@ -396,7 +382,7 @@ class AddressSpace:
         #: vma_id -> page store (version per page offset; see module doc).
         #: Lags behind by the deltas in :attr:`_pending`; every reader
         #: goes through :meth:`_flush_versions` first.
-        self._stores: dict[int, PageStore] = {}
+        self._stores: dict[int, "array[int]"] = {}
         #: Difference array of unapplied writes: boundary -> delta
         #: (``+1`` at each written range's start, ``-1`` at its end).
         self._pending: dict[int, int] = {}
@@ -470,16 +456,11 @@ class AddressSpace:
             idx = bisect_right(self._vma_starts, area.start)
             if idx < len(self.vmas) and self.vmas[idx].start < new_end:
                 raise ValueError("resize would overlap a neighbouring VMA")
-            if isinstance(store, array):
-                store.extend(array("Q", bytes(8 * (new_end - old_end))))
+            store.extend(array("Q", bytes(8 * (new_end - old_end))))
             self._dirty.add(old_end, new_end)
         elif new_end < old_end:
             self._flush_versions()
-            if isinstance(store, array):
-                del store[new_npages:]
-            else:
-                for off in [o for o in store if o >= new_npages]:
-                    del store[off]
+            del store[new_npages:]
             self._dirty.remove(new_end, old_end)
             if self._absent:
                 self._absent.remove(new_end, old_end)
@@ -568,17 +549,11 @@ class AddressSpace:
         while start < end:
             area = vmas[bisect_right(starts, start) - 1]
             hi = end if end < area.end else area.end
-            store = stores[area.vma_id]
-            a = start - area.start
-            b = hi - area.start
-            if isinstance(store, dict):
-                get = store.get
-                for off in range(a, b):
-                    store[off] = get(off, 0) + cum
-            else:
-                # A transient numpy view: the add runs in C, and the
-                # view dies with the statement (no lasting export).
-                np.frombuffer(store, np.int64)[a:b] += cum
+            # A transient numpy view: the add runs in C, and the view
+            # dies with the statement (no lasting export).
+            np.frombuffer(stores[area.vma_id], np.int64)[
+                start - area.start : hi - area.start
+            ] += cum
             start = hi
 
     def page_version(self, vpn: int) -> int:
@@ -586,11 +561,7 @@ class AddressSpace:
         area = self.find_vma(vpn)
         if area is None:
             raise KeyError(vpn)
-        store = self._stores[area.vma_id]
-        off = vpn - area.start
-        if isinstance(store, dict):
-            return store.get(off, 0)
-        return store[off]
+        return self._stores[area.vma_id][vpn - area.start]
 
     def is_dirty(self, vpn: int) -> bool:
         return vpn in self._dirty
@@ -641,19 +612,11 @@ class AddressSpace:
             while start < end:
                 area = vmas[bisect_right(starts, start) - 1]
                 hi = end if end < area.end else area.end
-                store = stores[area.vma_id]
-                a = start - area.start
-                if isinstance(store, dict):
-                    get = store.get
-                    versions.append(
-                        np.fromiter(
-                            (get(off, 0) for off in range(a, hi - area.start)),
-                            np.int64,
-                            hi - start,
-                        )
+                versions.append(
+                    np.frombuffer(
+                        stores[area.vma_id], np.int64, hi - start, 8 * (start - area.start)
                     )
-                else:
-                    versions.append(np.frombuffer(store, np.int64, hi - start, 8 * a))
+                )
                 vpns.append(np.arange(start, hi, dtype=np.int64))
                 start = hi
         if not vpns:
@@ -704,14 +667,12 @@ class AddressSpace:
             while start < end:
                 area = vmas[bisect_right(starts, start) - 1]
                 hi = end if end < area.end else area.end
-                store = stores[area.vma_id]
-                a = start - area.start
-                b = hi - area.start
                 j = i + (hi - start)
-                if isinstance(store, dict):
-                    store.update(zip(range(a, b), versions[i:j].tolist()))
-                else:
-                    _scatter(store, slice(a, b), versions[i:j])
+                _scatter(
+                    stores[area.vma_id],
+                    slice(start - area.start, hi - area.start),
+                    versions[i:j],
+                )
                 start = hi
                 i = j
 
@@ -751,17 +712,8 @@ class AddressSpace:
         for k, area in enumerate(self.vmas):
             area._space = self
             lo, hi = bounds[2 * k], bounds[2 * k + 1]
-            offsets = keys[lo:hi] - area.start
-            values = batch.versions[lo:hi]
             store = _new_store(area.end - area.start)
-            if isinstance(store, dict):
-                store.update(
-                    (off, ver)
-                    for off, ver in zip(offsets.tolist(), values.tolist())
-                    if ver
-                )
-            else:
-                _scatter(store, offsets, values)
+            _scatter(store, keys[lo:hi] - area.start, batch.versions[lo:hi])
             self._stores[area.vma_id] = store
         self._pending = {}
         self._dirty = ExtentSet()
@@ -773,7 +725,7 @@ class AddressSpace:
 
 
 def _scatter(store: "array[int]", where: Union[slice, np.ndarray], values: np.ndarray) -> None:
-    """``store[where] = values`` for a dense page store, done by numpy
+    """``store[where] = values`` for a page store, done by numpy
     through a view that dies on return (so no export outlives the call
     to pin the array against a later resize)."""
     np.frombuffer(store, np.int64)[where] = values

@@ -65,6 +65,22 @@ class TestPostcopy:
         assert not proc.address_space.has_absent
         assert proc.page_fault_handler is None
 
+    def test_postcopied_process_migrates_back_by_postcopy(self, two_nodes):
+        """A process that arrived by post-copy holds clean pages; a second
+        post-copy move still leaves every one of them behind to fetch."""
+        cluster = two_nodes
+        node, proc, area = make_proc_with_area(cluster, npages=64)
+        dest = cluster.nodes[1]
+        proc.address_space.write_range(area, count=8)
+        expected = proc.address_space.content_snapshot()
+        config = LiveMigrationConfig(mode="postcopy")
+        there = cluster.env.run(until=migrate_process(node, dest, proc, config))
+        back = cluster.env.run(until=migrate_process(dest, node, proc, config))
+        assert there.success and back.success
+        assert proc.kernel is node.kernel
+        assert back.postcopy_pushed_pages + back.postcopy_fetched_pages == 64
+        assert proc.address_space.content_snapshot() == expected
+
     def test_postcopy_demand_fetch_services_workload_faults(self, two_nodes):
         """A write-hot workload resumes on the destination immediately
         and its writes to non-resident pages are demand-fetched."""

@@ -1,8 +1,8 @@
-"""Composition tests for condition events (AnyOf/AllOf nesting)."""
+"""Composition tests for AllOf."""
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment
+from repro.des import AllOf, Environment
 
 
 @pytest.fixture
@@ -11,38 +11,24 @@ def env():
 
 
 class TestNestedConditions:
-    def test_allof_of_anyofs(self, env):
-        """(a|b) & (c|d) fires when one of each pair has fired."""
-        a, b = env.timeout(1), env.timeout(9)
-        c, d = env.timeout(3), env.timeout(8)
-        cond = AllOf(env, [AnyOf(env, [a, b]), AnyOf(env, [c, d])])
-        env.run(cond)
-        assert env.now == 3
-
-    def test_anyof_of_allofs(self, env):
-        """(a&b) | (c&d) fires when the faster pair completes."""
-        a, b = env.timeout(1), env.timeout(2)
-        c, d = env.timeout(3), env.timeout(10)
-        cond = AnyOf(env, [AllOf(env, [a, b]), AllOf(env, [c, d])])
-        env.run(cond)
-        assert env.now == 2
-
     def test_process_waits_on_nested_condition(self, env):
         log = []
 
         def proc():
-            yield AllOf(env, [env.timeout(2), AnyOf(env, [env.timeout(1), env.timeout(5)])])
+            yield AllOf(env, [env.timeout(2), AllOf(env, [env.timeout(1), env.timeout(5)])])
             log.append(env.now)
 
         env.process(proc())
         env.run()
-        assert log == [2]
+        assert log == [5]
 
     def test_condition_value_includes_inner_conditions(self, env):
-        inner = AnyOf(env, [env.timeout(1, value="fast")])
+        fast = env.timeout(1, value="fast")
+        inner = AllOf(env, [fast])
         outer = AllOf(env, [inner])
         env.run(outer)
         assert inner in outer.value
+        assert outer.value[inner] == {fast: "fast"}
 
     def test_allof_with_duplicate_event(self, env):
         t = env.timeout(2, value="x")
@@ -50,18 +36,3 @@ class TestNestedConditions:
         env.run(cond)
         assert env.now == 2
         assert cond.value[t] == "x"
-
-    def test_anyof_then_reuse_remaining_event(self, env):
-        """Events not consumed by AnyOf stay waitable."""
-        fast, slow = env.timeout(1, value="f"), env.timeout(4, value="s")
-        first = AnyOf(env, [fast, slow])
-        got = []
-
-        def proc():
-            yield first
-            value = yield slow
-            got.append((env.now, value))
-
-        env.process(proc())
-        env.run()
-        assert got == [(4, "s")]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.des import Environment
-from repro.des.engine import EmptySchedule
 
 
 @pytest.fixture
@@ -78,10 +77,6 @@ class TestRun:
         assert hits == []
         assert env.now == 2.0
 
-    def test_step_on_empty_raises(self, env):
-        with pytest.raises(EmptySchedule):
-            env.step()
-
     def test_clock_monotonic(self, env):
         stamps = []
         for d in (5.0, 1.0, 3.0, 1.0):
@@ -149,10 +144,3 @@ class TestCallLater:
         env.timeout(1.0).callbacks.append(lambda e: order.append("event-b"))
         env.run(until=2.0)
         assert order == ["event-a", "deferred", "event-b"]
-
-    def test_step_executes_deferred(self, env):
-        got = []
-        env.call_later(0.5, got.append, 7)
-        env.step()
-        assert got == [7]
-        assert env.now == 0.5

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, Interrupt
+from repro.des import Environment
 
 
 @pytest.fixture
@@ -105,111 +105,3 @@ class TestProcess:
         p = env.process(proc())
         assert env.run(until=p) == "early"
         assert env.now == 2  # no extra time passed
-
-    def test_active_process(self, env):
-        seen = []
-
-        def proc():
-            seen.append(env.active_process)
-            yield env.timeout(1)
-
-        p = env.process(proc())
-        env.run()
-        assert seen == [p]
-        assert env.active_process is None
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_process(self, env):
-        log = []
-
-        def victim():
-            try:
-                yield env.timeout(100)
-            except Interrupt as i:
-                log.append((env.now, i.cause))
-
-        def attacker(p):
-            yield env.timeout(3)
-            p.interrupt("stop it")
-
-        v = env.process(victim())
-        env.process(attacker(v))
-        env.run()
-        assert log == [(3, "stop it")]
-
-    def test_interrupt_terminated_process_raises(self, env):
-        def quick():
-            yield env.timeout(1)
-
-        p = env.process(quick())
-        env.run()
-        with pytest.raises(RuntimeError, match="terminated"):
-            p.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        def proc():
-            env.active_process.interrupt()
-            yield env.timeout(1)
-
-        p = env.process(proc())
-        p.defuse()
-        env.run()
-        assert not p.ok
-
-    def test_uncaught_interrupt_fails_process(self, env):
-        def victim():
-            yield env.timeout(100)
-
-        def attacker(p):
-            yield env.timeout(1)
-            p.interrupt("bye")
-
-        v = env.process(victim())
-        v.defuse()
-        env.process(attacker(v))
-        env.run()
-        assert not v.ok
-        assert isinstance(v.value, Interrupt)
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def victim():
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                pass
-            yield env.timeout(5)
-            log.append(env.now)
-
-        def attacker(p):
-            yield env.timeout(2)
-            p.interrupt()
-
-        v = env.process(victim())
-        env.process(attacker(v))
-        env.run()
-        assert log == [7]
-
-    def test_stale_wakeup_after_interrupt_is_ignored(self, env):
-        """The original timeout firing later must not resume the process."""
-        log = []
-
-        def victim():
-            try:
-                yield env.timeout(10)
-                log.append("timeout fired in process")
-            except Interrupt:
-                log.append("interrupted")
-            yield env.timeout(100)
-            log.append("end")
-
-        def attacker(p):
-            yield env.timeout(1)
-            p.interrupt()
-
-        v = env.process(victim())
-        env.process(attacker(v))
-        env.run()
-        assert log == ["interrupted", "end"]

@@ -72,6 +72,24 @@ class TestNeighborLinks:
             west.connect_neighbor(other)
 
 
+class TestIdleWithoutLinks:
+    def test_unlinked_server_schedules_no_boundary_sync(self):
+        """Without a neighbour link the sync interval changes nothing:
+        a started zone server wakes up no boundary-sync timer."""
+
+        def events_after_one_second(interval):
+            cluster = build_cluster(n_nodes=2, with_db=False)
+            cfg = ZoneServerConfig(n_client_conns=0, neighbor_sync_interval=interval)
+            zone = ZoneGrid(8, 8, 4).zone_at(3, 3)
+            zs = ZoneServer(cluster, cluster.nodes[0], zone, config=cfg)
+            zs.start()
+            run_for(cluster, 1.0)
+            assert zs.neighbor_msgs_sent == 0
+            return cluster.env._eid
+
+        assert events_after_one_second(0.01) == events_after_one_second(2.0)
+
+
 class TestScenarioWithNeighbors:
     def test_reduced_lb_scenario_with_links(self):
         campaign = FIG5_QUICK_CAMPAIGN

@@ -2,7 +2,7 @@
 
 from repro.cluster import build_cluster
 from repro.core import LiveMigrationConfig
-from repro.faults import FaultPlan, NodeCrash, install_faults
+from repro.faults import FaultPlan, MigdAbort, NodeCrash, install_faults
 from repro.middleware import (
     ConductorConfig,
     DEAD,
@@ -93,3 +93,43 @@ class TestDetectorIntegration:
         first, second = heartbeat_times(), heartbeat_times()
         # Jitter applied: periods are not all exactly the configured 1.0.
         assert first == second
+
+
+class TestPostcopyAbortHandoff:
+    def test_failed_postcopy_hands_the_process_to_the_destination(self):
+        """A post-copy attempt that fails after execution moved leaves the
+        process on the destination: the conductor stops walking the
+        candidates and management follows the process."""
+        cluster = build_cluster(n_nodes=3, with_db=False)
+        scan = [n.local_ip for n in cluster.nodes]
+        config = ConductorConfig(
+            policies=PolicyConfig(imbalance_threshold=12),
+            check_interval=1.0,
+            calm_down=3.0,
+            migration=LiveMigrationConfig(mode="postcopy", rpc_timeout=1.0),
+        )
+        conductors = [
+            install_conductor(n, scan, cluster.node_by_local_ip, config)
+            for n in cluster.nodes
+        ]
+        tracer = cluster.env.enable_tracing()
+        worker0, *_ = spawn_workers(cluster, cluster.nodes[0], conductors[0], 4, demand=0.9)
+        install_faults(cluster, FaultPlan([MigdAbort(0.0, "*", phase="postcopy")]))
+        # The first balance round (t~1.1) launches worker0 at node2 and
+        # the post-copy abort fires; the source's calm-down holds the
+        # next launch past t=3.
+        run_for(cluster, 3.0)
+        managers = [
+            cond.host.name
+            for cond in conductors
+            if any(p.name == "worker0" for p in cond.managed)
+        ]
+        assert managers == ["node2"]
+        assert worker0.kernel is cluster.nodes[1].kernel
+        giveups = [e for e in tracer.events if e.name == "recover.giveup"]
+        assert [e.fields["attempts"] for e in giveups] == [1]
+        assert [e.name for e in tracer.events].count("cond.decision") == 1
+        # Balancing goes on without a crash, re-migrating post-copied
+        # processes (whose pages arrived clean) along the way.
+        run_for(cluster, 27.0)
+        assert sum(c.migrations_received for c in conductors) >= 3

@@ -15,8 +15,6 @@ from repro.faults import (
 )
 from repro.testing import run_for
 
-from .conftest import make_traffic
-
 
 def pinger(cluster, sock, interval=0.01):
     def loop():

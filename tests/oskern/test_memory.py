@@ -120,17 +120,12 @@ class TestSnapshot:
         assert dest.page_version(b.start) == 0
         assert dest.dirty_count() == 0  # restored pages are clean
 
-    @pytest.mark.parametrize("dense_limit", [None, 1], ids=["array", "dict"])
-    def test_overlay_wins_over_versions(self, space, monkeypatch, dense_limit):
+    def test_overlay_wins_over_versions(self, space):
         """Restoring a ``PageBatch.overlay`` of newer pages on the staged
         ones (the restart path) reads exactly like restoring the merged
-        dict, for both page-store kinds, and ignores unmapped pages."""
+        dict, and ignores unmapped pages."""
         from repro.oskern.memory import PageBatch
 
-        from repro.oskern import memory as memory_mod
-
-        if dense_limit is not None:
-            monkeypatch.setattr(memory_mod, "_DENSE_LIMIT_PAGES", dense_limit)
         a = space.mmap(6)
         vmas = [(v.start, v.end, v.perms, v.tag) for v in space.vmas]
         versions = {a.start: 3, a.start + 1: 4, a.start + 2: 5}

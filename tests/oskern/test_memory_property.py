@@ -248,35 +248,3 @@ def test_dump_snapshot_unaffected_by_post_dump_writes():
     assert vmap == frozen_map
     # And the *new* dump sees the post-dump writes.
     assert space.dirty_version_map() != frozen_map
-
-
-@pytest.mark.parametrize("seed", [21, 22, 23])
-def test_sparse_store_fallback_matches_reference(seed, monkeypatch):
-    """With the dense limit forced tiny, most VMAs take the dict-backed
-    sparse path (and small ones stay dense) — the mixed-store space must
-    still be indistinguishable from the oracle."""
-    from repro.oskern import memory as memory_mod
-
-    monkeypatch.setattr(memory_mod, "_DENSE_LIMIT_PAGES", 8)
-
-    space = AddressSpace()
-    ref = ReferenceSpace()
-    _random_workload(space, ref, seed)
-
-    # Both store kinds are actually in play (or the limit did nothing).
-    kinds = {type(store).__name__ for store in space._stores.values()}
-    if any(a.npages >= 8 for a in space.vmas) and any(a.npages < 8 for a in space.vmas):
-        assert kinds == {"dict", "array"}
-
-    sample_rng = random.Random(seed)
-    _check_equivalent(space, ref, sample_rng)
-    assert space.dirty_version_map() == {v: ref.versions[v] for v in ref.dirty}
-    assert space.content_snapshot() == ref.versions
-
-    # Snapshot round-trip crosses store kinds too.
-    clone = AddressSpace()
-    clone.load_snapshot(
-        [(v.start, v.end, v.perms, v.tag) for v in space.vmas],
-        space.content_snapshot(),
-    )
-    assert clone.content_snapshot() == ref.versions

@@ -1,6 +1,5 @@
 """PageBatch array operations against ``{vpn: version}`` dict oracles."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.oskern import AddressSpace
@@ -62,15 +61,10 @@ def test_runs_cover_each_consecutive_stretch(vpns):
     assert all(e < s2 for (_, e, _), (s2, _, _) in zip(runs, runs[1:]))
 
 
-@pytest.mark.parametrize("dense_limit", [None, 1], ids=["array", "dict"])
-def test_install_pages_in_push_order_for_both_store_kinds(monkeypatch, dense_limit):
+def test_install_pages_in_push_order():
     """A non-ascending batch whose runs cross from one VMA into the
     adjacent one lands exactly, leaves the rest absent and the installed
-    pages clean, for both store kinds."""
-    from repro.oskern import memory as memory_mod
-
-    if dense_limit is not None:
-        monkeypatch.setattr(memory_mod, "_DENSE_LIMIT_PAGES", dense_limit)
+    pages clean."""
     vmas = [(100, 108, "rw", "a"), (108, 116, "rw", "b"), (140, 148, "rw", "c")]
     space = AddressSpace()
     space.load_snapshot(vmas, {})
