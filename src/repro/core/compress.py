@@ -99,22 +99,19 @@ class PageCompressor:
         hits = np.empty(0, np.int64)
         if self.mode == "xbzrle":
             cached = self._cache.versions_of(pages.vpns)
-            hit = (cached > 0) & (cached < versions)
-            hits = np.flatnonzero(hit)
+            hits = np.flatnonzero((cached > 0) & (cached < versions))
             enc = PAGE_RECORD_OVERHEAD + np.minimum(
-                PAGE_SIZE, costs.xbzrle_delta_bytes * (versions[hit] - cached[hit])
+                PAGE_SIZE, costs.xbzrle_delta_bytes * (versions[hits] - cached[hits])
             )
+            del cached
             pays = enc[enc < _FULL_PAGE]
             delta = len(pays)
             delta_wire = int(pays.sum())
-            self._cache = self._cache.overlay(pages)
+            del enc, pays
+            self._cache = self._cache.overlay(pages, in_place=True)
         full = n - zero - delta
         wire = zero * costs.zero_page_bytes + delta_wire + full * _FULL_PAGE
-        # One zero-scan step per page, each hit's encode step right after
-        # its page's scan step.
-        steps = np.full(n + len(hits), costs.zero_scan_cost)
-        steps[hits + np.arange(1, len(hits) + 1)] = costs.xbzrle_encode_cost
-        cpu = float(np.cumsum(steps)[-1]) if n else 0.0
+        cpu = _sequential_cost(n, hits, costs.zero_scan_cost, costs.xbzrle_encode_cost)
         st = self.stats
         st.pages += n
         st.raw_bytes += n * _FULL_PAGE
@@ -124,6 +121,31 @@ class PageCompressor:
         st.full_pages += full
         st.cpu_seconds += cpu
         return wire, cpu
+
+
+#: Pages per block of :func:`_sequential_cost`'s running sum.
+_COST_BLOCK = 1 << 15
+
+
+def _sequential_cost(n: int, hits: np.ndarray, scan: float, encode: float) -> float:
+    """The left-to-right float sum of one ``scan`` step per page, with an
+    ``encode`` step right after each page in the ascending ``hits``.
+
+    The sum runs block by block, each block's ``np.cumsum`` starting
+    from the previous block's total, so the additions and their order
+    are those of one cumsum over the whole step sequence without
+    building it (two float arrays of ``n + len(hits)`` for a full-area
+    batch)."""
+    total = 0.0
+    bounds = np.searchsorted(hits, np.arange(0, n + _COST_BLOCK, _COST_BLOCK)).tolist()
+    for k, start in enumerate(range(0, n, _COST_BLOCK)):
+        npages = min(_COST_BLOCK, n - start)
+        block_hits = hits[bounds[k] : bounds[k + 1]] - start
+        steps = np.full(1 + npages + len(block_hits), scan)
+        steps[0] = total
+        steps[block_hits + np.arange(2, len(block_hits) + 2)] = encode
+        total = float(np.cumsum(steps)[-1])
+    return total
 
 
 def make_compressor(mode: str, costs: CostModel) -> PageCompressor | None:

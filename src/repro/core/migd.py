@@ -188,7 +188,9 @@ class MigrationDaemon:
                 respond({"ok": True})
         elif op == "round":
             st = self._staging(body, src_ip)
-            st.staged_pages = st.staged_pages.overlay(PageBatch.of(body.get("pages", {})))
+            st.staged_pages = st.staged_pages.overlay(
+                PageBatch.of(body.get("pages", {})), in_place=True
+            )
             if body.get("vmas") is not None:
                 st.staged_vmas = body["vmas"]
             records = body.get("socket_records", [])
@@ -492,6 +494,8 @@ class MigrationDaemon:
             staged_vmas=st.staged_vmas,
             absent_extents=postcopy["absent"] if postcopy else None,
         )
+        # The restored space holds the contents now.
+        st.staged_pages = PageBatch.empty()
         n_final_pages = len(image.section("pages").payload) if image.has_section("pages") else 0
         yield self.env.timeout(costs.page_dump_cost * n_final_pages)
         if st.aborted:

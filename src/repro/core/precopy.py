@@ -130,6 +130,11 @@ class LiveMigrationEngine:
             raise ValueError(
                 f"unknown compression mode {self.config.compression!r}"
             )
+        if proc.stranded_pages:
+            raise ValueError(
+                f"{proc} has {proc.stranded_pages} absent pages that no "
+                "post-copy will fetch; it cannot migrate"
+            )
         self.env = source.env
         self.costs = source.kernel.costs
         self.source_migd = install_migd(source)
@@ -345,6 +350,10 @@ class LiveMigrationEngine:
                         self._escalate_throttle(dirty_rate, bandwidth)
                 prev_round_start = round_start
                 prev_nbytes = nbytes
+                # The destination has staged this round's batch; holding
+                # it through the pacing wait would keep it alive next
+                # to the next round's dump.
+                del pages, round_body
 
                 if report.precopy_rounds >= effective_max_rounds and cfg.mode == "hybrid":
                     break  # switch point: no pacing wait before the freeze
@@ -437,6 +446,9 @@ class LiveMigrationEngine:
             proc.reap_thread(helper)
             threads, thread_bytes = dump_thread_context(proc)
             vma_map = self._vma_tracker.current_map(space)
+            # The restore replaces the process's space; the engine must
+            # not keep the source's page stores alive past it.
+            del space
             vma_bytes = VMA_RECORD_BYTES * len(vma_map)
             yield self.env.timeout(
                 dump_cpu

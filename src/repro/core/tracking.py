@@ -47,13 +47,15 @@ class VMATracker:
         #: unchanged — the kernel still walks both lists; only the
         #: wall-clock cost of computing an empty diff disappears.
         self._last_map_version: Optional[int] = None
-        self._last_space: Optional[AddressSpace] = None
+        #: ``space_id`` of the space last scanned: an id, so the tracker
+        #: does not keep a migrated-away space's page stores alive.
+        self._last_space_id = 0
 
     def scan(self, space: AddressSpace) -> VMADiff:
         """Diff the live list against the tracking list and update it."""
-        if space is self._last_space and space.map_version == self._last_map_version:
+        if space.space_id == self._last_space_id and space.map_version == self._last_map_version:
             return VMADiff()
-        self._last_space = space
+        self._last_space_id = space.space_id
         self._last_map_version = space.map_version
         diff = VMADiff()
         tracked = self._tracked

@@ -145,7 +145,7 @@ class ClusterModel:
     #: Approximated cluster-wide average CPU including this node.
     average: float
     #: ``(process, cpu-share %)`` for migratable local processes
-    #: (managed, not already outbound).
+    #: (managed, not already outbound, no stranded pages).
     shares: list[tuple["SimProcess", float]]
     #: Admission units a plan may consume this round (always >= 1 when
     #: the planner consults the strategy at all).
@@ -902,7 +902,11 @@ class Planner:
                 "stale_peers": views(stale_infos),
                 "asleep_peers": views([i for i in fresh_infos if i.asleep]),
                 "shares": lambda: cond.monitor.process_shares(
-                    [p for p in cond.managed if p not in cond._outbound]
+                    [
+                        p
+                        for p in cond.managed
+                        if p not in cond._outbound and not p.stranded_pages
+                    ]
                 ),
                 "history": lambda: {
                     k: tuple(v) for k, v in self._history.items()
@@ -1052,6 +1056,8 @@ class Planner:
             return False, "unmanaged"
         if action.proc in self.cond._outbound:
             return False, "in-flight"
+        if action.proc.stranded_pages:
+            return False, "stranded"
         live = {info.local_ip for info in model.peer_infos}
         if not any(c.local_ip in live for c in action.candidates):
             return False, "no-candidates"

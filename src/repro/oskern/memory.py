@@ -58,6 +58,7 @@ from .costs import PAGE_SIZE
 __all__ = ["VMArea", "AddressSpace", "ExtentSet", "PageBatch", "PAGE_SIZE"]
 
 _vma_ids = itertools.count(1)
+_space_ids = itertools.count(1)
 
 
 @dataclass
@@ -78,11 +79,14 @@ class VMArea:
     def __post_init__(self) -> None:
         if self.end <= self.start:
             raise ValueError(f"empty VMA [{self.start}, {self.end})")
-        # Owning AddressSpace while mapped (cleared on munmap): lets the
-        # write path validate a caller-held VMArea reference in O(1)
-        # instead of re-finding it by bisect.  Not a dataclass field, so
-        # snapshots/eq/repr are unaffected.
-        self._space: Optional["AddressSpace"] = None
+        # ``space_id`` of the owning AddressSpace while mapped (0 once
+        # unmapped): lets the write path validate a caller-held VMArea
+        # reference in O(1) instead of re-finding it by bisect.  An id,
+        # not the space itself, so no VMArea <-> AddressSpace cycle keeps
+        # a dropped space's page stores alive until the cyclic collector
+        # runs.  Not a dataclass field, so snapshots/eq/repr are
+        # unaffected.
+        self._owner = 0
 
     @property
     def npages(self) -> int:
@@ -233,10 +237,13 @@ class PageBatch(Mapping):
     Two equal-length int64 arrays with unique vpns, kept in the order the
     producer emitted them (a post-copy push batch stops being ascending
     once a demand fetch moves a run to the front of the queue), and never
-    mutated once built, so batches may share arrays.  Consumers that need
-    sorted keys sort a copy (:meth:`ascending`).  A batch reads as a
-    ``{vpn: version}`` mapping, which is what tests and the output checks
-    compare it with; the simulator itself only touches the arrays.
+    mutated once built, so batches may share arrays; the one exception
+    is an accumulator that owns its version array (the XBZRLE cache,
+    migd's staging), written by ``overlay(..., in_place=True)``.
+    Consumers that need sorted keys sort a copy (:meth:`ascending`).  A
+    batch reads as a ``{vpn: version}`` mapping, converted to Python ints
+    a block at a time, which is what tests and the output checks compare
+    it with; the simulator itself only touches the arrays.
     """
 
     __slots__ = ("vpns", "versions")
@@ -266,7 +273,7 @@ class PageBatch(Mapping):
         return len(self.vpns)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.vpns.tolist())
+        return _as_ints(self.vpns)
 
     def __getitem__(self, vpn: int) -> int:
         hit = np.flatnonzero(self.vpns == vpn)
@@ -274,14 +281,14 @@ class PageBatch(Mapping):
             raise KeyError(vpn)
         return int(self.versions[hit[0]])
 
-    def keys(self) -> list[int]:
-        return self.vpns.tolist()
+    def keys(self) -> Iterator[int]:
+        return _as_ints(self.vpns)
 
-    def values(self) -> list[int]:
-        return self.versions.tolist()
+    def values(self) -> Iterator[int]:
+        return _as_ints(self.versions)
 
-    def items(self) -> Iterable[tuple[int, int]]:
-        return zip(self.vpns.tolist(), self.versions.tolist())
+    def items(self) -> Iterator[tuple[int, int]]:
+        return zip(_as_ints(self.vpns), _as_ints(self.versions))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mapping):
@@ -309,28 +316,39 @@ class PageBatch(Mapping):
         idx = np.searchsorted(keys, vpns)
         if not len(keys):
             return idx, np.zeros(len(vpns), bool)
-        return idx, keys[np.minimum(idx, len(keys) - 1)] == vpns
+        return idx, keys.take(idx, mode="clip") == vpns
 
     def versions_of(self, vpns: np.ndarray) -> np.ndarray:
         """Version of each of ``vpns`` in this *ascending* batch, 0 where
         a vpn is absent."""
+        if not len(self.vpns):
+            return np.zeros(len(vpns), np.int64)
         idx, found = self._find(vpns)
-        out = np.zeros(len(vpns), np.int64)
-        out[found] = self.versions[idx[found]]
+        out = self.versions.take(idx, mode="clip")
+        out[~found] = 0
         return out
 
-    def overlay(self, newer: "PageBatch") -> "PageBatch":
+    def overlay(self, newer: "PageBatch", in_place: bool = False) -> "PageBatch":
         """This *ascending* batch with ``newer``'s pages laid over it:
-        ``newer`` wins where both hold a page.  The result ascends."""
+        ``newer`` wins where both hold a page.  The result ascends.
+
+        ``in_place`` is for a caller that owns this batch's version
+        array and drops this batch for the result: when ``newer`` holds
+        no new page, its versions are written into that array instead
+        of a copy.  The result is again the caller's own."""
         if not len(newer):
             return self
         if not len(self):
-            return newer.ascending()
+            newer = newer.ascending()
+            if in_place:
+                return PageBatch(newer.vpns, newer.versions.copy())
+            return newer
         idx, found = self._find(newer.vpns)
-        versions = self.versions.copy()
-        versions[idx[found]] = newer.versions[found]
+        versions = self.versions if in_place else self.versions.copy()
         if found.all():
+            versions[idx] = newer.versions
             return PageBatch(self.vpns, versions)
+        versions[idx[found]] = newer.versions[found]
         new = ~found
         added = newer.vpns[new]
         order = np.argsort(added)
@@ -366,15 +384,34 @@ class PageBatch(Mapping):
         ]
 
 
+#: Elements per block when a batch is read as Python ints.
+_INT_BLOCK = 1 << 12
+
+
+def _as_ints(arr: np.ndarray) -> Iterator[int]:
+    """``arr``'s elements as Python ints, converted a block at a time: a
+    full-area batch read as one list would hold every int at once."""
+    return itertools.chain.from_iterable(
+        arr[lo : lo + _INT_BLOCK].tolist() for lo in range(0, len(arr), _INT_BLOCK)
+    )
+
+
+_ZERO_PAGE = array("Q", [0])
+
+
 def _new_store(npages: int) -> "array[int]":
-    """Zero-version page store for a fresh mapping."""
-    return array("Q", bytes(8 * npages))
+    """Zero-version page store for a fresh mapping, allocated once and
+    filled in place (``array("Q", bytes(8 * n))`` would build the zero
+    bytes first and then copy them, doubling the peak)."""
+    return _ZERO_PAGE * npages
 
 
 class AddressSpace:
     """Per-process memory: sorted VMA list + batched dirty/version state."""
 
     def __init__(self) -> None:
+        #: What a mapped :class:`VMArea` records as its owner.
+        self.space_id = next(_space_ids)
         #: Ordered by start page, non-overlapping.
         self.vmas: list[VMArea] = []
         #: Parallel sorted key list (``vma.start`` never mutates in place).
@@ -423,7 +460,7 @@ class AddressSpace:
         self.vmas.insert(idx, area)
         self._vma_starts.insert(idx, area.start)
         self._stores[area.vma_id] = _new_store(area.end - area.start)
-        area._space = self
+        area._owner = self.space_id
         # Newly mapped pages are dirty: they never reached the destination.
         self._dirty.add(area.start, area.end)
         self._dirty_cache = None
@@ -438,7 +475,7 @@ class AddressSpace:
         del self.vmas[idx]
         del self._vma_starts[idx]
         del self._stores[area.vma_id]
-        area._space = None
+        area._owner = 0
         self._dirty.remove(area.start, area.end)
         if self._absent:
             self._absent.remove(area.start, area.end)
@@ -456,7 +493,7 @@ class AddressSpace:
             idx = bisect_right(self._vma_starts, area.start)
             if idx < len(self.vmas) and self.vmas[idx].start < new_end:
                 raise ValueError("resize would overlap a neighbouring VMA")
-            store.extend(array("Q", bytes(8 * (new_end - old_end))))
+            store.extend(_new_store(new_end - old_end))
             self._dirty.add(old_end, new_end)
         elif new_end < old_end:
             self._flush_versions()
@@ -502,7 +539,7 @@ class AddressSpace:
             return
         start = area.start + offset
         end = start + count
-        if area._space is not self:
+        if area._owner != self.space_id:
             # Stale reference (unmapped, or a pre-restore VMA object held
             # across a migration): fall back to an address lookup — the
             # write is legal iff a live VMA covers the range.
@@ -710,7 +747,7 @@ class AddressSpace:
         ).tolist()
         self._stores = {}
         for k, area in enumerate(self.vmas):
-            area._space = self
+            area._owner = self.space_id
             lo, hi = bounds[2 * k], bounds[2 * k + 1]
             store = _new_store(area.end - area.start)
             _scatter(store, keys[lo:hi] - area.start, batch.versions[lo:hi])

@@ -100,6 +100,16 @@ class SimProcess:
         return self.kernel.env
 
     @property
+    def stranded_pages(self) -> int:
+        """Pages mapped but not resident with no handler left to fetch
+        them: what a post-copy that failed after the thaw leaves behind.
+        Their contents exist nowhere, so such a process must not
+        migrate (a dump would ship them as version-0 pages)."""
+        if self.page_fault_handler is not None:
+            return 0
+        return self.address_space.absent_count
+
+    @property
     def node_name(self) -> str:
         return self.kernel.node_name
 

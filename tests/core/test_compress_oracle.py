@@ -8,11 +8,13 @@ counts, the cumulative stats and the ``cpu`` float, bit for bit.
 """
 
 from dataclasses import asdict
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.blcr.checkpoint import PAGE_RECORD_OVERHEAD
+from repro.core import compress
 from repro.core.compress import CompressStats, PageCompressor
 from repro.oskern import PAGE_SIZE
 from repro.oskern.costs import CostModel
@@ -97,9 +99,12 @@ def _run_both(mode: str, batches_drawn) -> tuple[PageCompressor, ReferenceCompre
     costs = CostModel()
     fast = PageCompressor(mode, costs)
     ref = ReferenceCompressor(mode, costs)
+    sent = []
     for pages in batches_drawn:
         as_dict = dict(pages)
-        got = fast.compress(PageBatch.of(as_dict))
+        batch = PageBatch.of(as_dict)
+        sent.append((batch, as_dict))
+        got = fast.compress(batch)
         want = ref.compress(as_dict)
         # ``==`` on the float too: the cpu sum must be bit-identical.
         assert got == want
@@ -108,6 +113,9 @@ def _run_both(mode: str, batches_drawn) -> tuple[PageCompressor, ReferenceCompre
         # zero/delta/full counts as well.
         assert fast.stats == ref.stats
         assert all(type(v) in (int, float) for v in asdict(fast.stats).values())
+    # The cache is updated in place, but never through a batch it was
+    # handed: those are still on the wire and in the staging.
+    assert all(batch == as_dict for batch, as_dict in sent)
     return fast, ref
 
 
@@ -123,6 +131,16 @@ def test_xbzrle_matches_reference_loop(batches_drawn):
 @example(PUSH_AFTER_FETCH)
 def test_zero_page_matches_reference_loop(batches_drawn):
     _run_both("zero-page", batches_drawn)
+
+
+@given(batches)
+@settings(max_examples=60, deadline=None)
+@example(PUSH_AFTER_FETCH)
+def test_cpu_sum_across_blocks_matches_reference_loop(batches_drawn):
+    """The cpu float is summed block by block; with blocks of a few
+    pages every batch spans several, and the sum stays bit-identical."""
+    with patch.object(compress, "_COST_BLOCK", 3):
+        _run_both("xbzrle", batches_drawn)
 
 
 def test_push_after_fetch_covers_every_branch():

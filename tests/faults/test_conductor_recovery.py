@@ -1,7 +1,9 @@
 """The conductor under faults: detection verdicts steer the balance loop."""
 
+import pytest
+
 from repro.cluster import build_cluster
-from repro.core import LiveMigrationConfig
+from repro.core import LiveMigrationConfig, migrate_process
 from repro.faults import FaultPlan, MigdAbort, NodeCrash, install_faults
 from repro.middleware import (
     ConductorConfig,
@@ -96,10 +98,10 @@ class TestDetectorIntegration:
 
 
 class TestPostcopyAbortHandoff:
-    def test_failed_postcopy_hands_the_process_to_the_destination(self):
-        """A post-copy attempt that fails after execution moved leaves the
-        process on the destination: the conductor stops walking the
-        candidates and management follows the process."""
+    @staticmethod
+    def build_world():
+        """worker0's post-copy to node2 fails after the thaw (t~1.1):
+        it runs on node2 with its 16 pages absent and no fetcher."""
         cluster = build_cluster(n_nodes=3, with_db=False)
         scan = [n.local_ip for n in cluster.nodes]
         config = ConductorConfig(
@@ -115,6 +117,13 @@ class TestPostcopyAbortHandoff:
         tracer = cluster.env.enable_tracing()
         worker0, *_ = spawn_workers(cluster, cluster.nodes[0], conductors[0], 4, demand=0.9)
         install_faults(cluster, FaultPlan([MigdAbort(0.0, "*", phase="postcopy")]))
+        return cluster, conductors, tracer, worker0
+
+    def test_failed_postcopy_hands_the_process_to_the_destination(self):
+        """A post-copy attempt that fails after execution moved leaves the
+        process on the destination: the conductor stops walking the
+        candidates and management follows the process."""
+        cluster, conductors, tracer, worker0 = self.build_world()
         # The first balance round (t~1.1) launches worker0 at node2 and
         # the post-copy abort fires; the source's calm-down holds the
         # next launch past t=3.
@@ -133,3 +142,21 @@ class TestPostcopyAbortHandoff:
         # processes (whose pages arrived clean) along the way.
         run_for(cluster, 27.0)
         assert sum(c.migrations_received for c in conductors) >= 3
+
+    def test_stranded_process_is_never_migrated_again(self):
+        """The pages the failed post-copy never fetched exist nowhere, so
+        worker0 must stay put: a later migration would ship them as
+        version-0 pages and lose them silently."""
+        cluster, conductors, tracer, worker0 = self.build_world()
+        run_for(cluster, 30.0)
+        assert worker0.kernel is cluster.nodes[1].kernel
+        assert worker0.address_space.absent_count == 16
+        assert worker0.stranded_pages == 16
+        launches = [
+            e for e in tracer.events if e.name == "mig.start" and e.fields["pid"] == worker0.pid
+        ]
+        assert len(launches) == 1
+        # Balancing goes on around it.
+        assert sum(c.migrations_received for c in conductors) >= 3
+        with pytest.raises(ValueError, match="16 absent pages"):
+            migrate_process(cluster.nodes[1], cluster.nodes[2], worker0)

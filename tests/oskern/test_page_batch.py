@@ -25,6 +25,19 @@ def test_overlay_is_a_dict_merge_that_stays_ascending(older, newer):
     assert is_ascending(merged)
 
 
+@given(pages, pages)
+@settings(max_examples=100, deadline=None)
+def test_in_place_overlay_leaves_the_newer_batch_alone(older, newer):
+    """An in-place overlay writes only into the (owned) older batch, and
+    its result never shares a version array with ``newer``."""
+    sent = PageBatch.of(newer)
+    merged = ascending_batch(older).overlay(sent, in_place=True)
+    assert merged == {**older, **newer}
+    assert is_ascending(merged)
+    merged.versions[:] += 1
+    assert sent == newer
+
+
 @given(pages, st.lists(st.integers(0, 200), max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_versions_of_reads_zero_for_absent(stored, wanted):
