@@ -28,27 +28,13 @@ Quick start::
     print(report.summary())
 """
 
-from . import (
-    analysis,
-    blcr,
-    core,
-    des,
-    dve,
-    faults,
-    middleware,
-    net,
-    openarena,
-    oskern,
-    tcpip,
-)
-from .cluster import Cluster, ClusterConfig, build_cluster
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cluster",
-    "ClusterConfig",
-    "build_cluster",
+#: Subpackages, imported on first attribute access (PEP 562), so that
+#: ``import repro.des`` does not load the figure or campaign code.
+_SUBPACKAGES = (
     "des",
     "net",
     "oskern",
@@ -60,5 +46,20 @@ __all__ = [
     "openarena",
     "dve",
     "analysis",
-    "__version__",
-]
+)
+#: Names re-exported from :mod:`repro.cluster`.
+_CLUSTER_NAMES = ("Cluster", "ClusterConfig", "build_cluster")
+
+__all__ = [*_CLUSTER_NAMES, *_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _CLUSTER_NAMES:
+        return getattr(importlib.import_module(".cluster", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

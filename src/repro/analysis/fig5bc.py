@@ -114,6 +114,7 @@ def _one_migration(
         from ..obs import write_jsonl
 
         write_jsonl(trace_path, tracer)
+    cluster.close()
     return report
 
 

@@ -199,11 +199,13 @@ def run_fig5def(
     *,
     seed: Optional[int] = None,
 ) -> LoadBalancingComparison:
-    """Run the campaign's world twice: LB off (5e) and LB on (5d + 5f)."""
-    runs = [
-        run_fig5(build_fig5_world(campaign, load_balancing=lb, seed=seed), campaign)
-        for lb in (False, True)
-    ]
+    """Run the campaign's world twice: LB off (5e) and LB on (5d + 5f).
+    Each world is closed once its run is extracted."""
+    runs = []
+    for lb in (False, True):
+        world = build_fig5_world(campaign, load_balancing=lb, seed=seed)
+        runs.append(run_fig5(world, campaign))
+        world.cluster.close()
     return LoadBalancingComparison(without_lb=runs[0], with_lb=runs[1])
 
 

@@ -123,6 +123,19 @@ class Cluster:
 
             install_transd(self.db)
 
+    # -- lifetime --------------------------------------------------------------
+    def close(self) -> None:
+        """End this world: close its environment (see
+        :meth:`repro.des.Environment.close`), then cut the reference
+        cycles between its hosts, links and daemons, so the whole world
+        is freed by reference counting once nothing outside holds it."""
+        self.env.close()
+        for host in self.all_hosts():
+            host.close()
+        links = [*self.public_links, *self.local_links.values(), *self.client_links.values()]
+        for link in links:
+            link.close()
+
     # -- observability -------------------------------------------------------
     def enable_metrics(self) -> list[str]:
         """Turn on the metrics registry and install the per-node

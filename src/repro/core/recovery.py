@@ -51,6 +51,10 @@ class RetryPolicy:
         return min(self.backoff_max, self.backoff_base * self.backoff_factor**attempt)
 
 
+#: The retry budget of :func:`migrate_with_retry` and the conductor.
+DEFAULT_RETRY = RetryPolicy()
+
+
 def migrate_with_retry(
     source: Host,
     candidates: list[Host],
@@ -73,7 +77,7 @@ def migrate_with_retry(
     whether any attempt landed), or ``None`` when every candidate was
     vetoed before a single attempt started.
     """
-    policy = policy or RetryPolicy()
+    policy = policy or DEFAULT_RETRY
     env = source.env
     tr = env.tracer
     report: Optional[MigrationReport] = None

@@ -35,6 +35,11 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
+        #: Processes whose generator has not finished, in creation order
+        #: (a dict used as an ordered set), so :meth:`close` can close
+        #: the suspended ones deterministically.
+        self._live: dict[Process, None] = {}
+        self._closed = False
         #: Structured tracer (see :mod:`repro.obs`).  The default is the
         #: shared no-op tracer; call :meth:`enable_tracing` to record.
         #: Hot call sites guard with ``if env.tracer.enabled:``.
@@ -129,6 +134,38 @@ class Environment:
             self._queue, (self._now + delay, NORMAL, self._eid, Deferred(fn, arg))
         )
 
+    # -- lifetime -----------------------------------------------------------
+    def close(self) -> None:
+        """End the simulation for good and release what it holds.
+
+        Detaches the tracer, the metrics registry and the fault plane
+        (callers that kept them can still read them), drops every pending
+        heap entry and closes every suspended process generator (its
+        ``finally`` blocks run), so nothing the environment holds keeps
+        the simulated world reachable.  Nothing is scheduled:
+        anything a ``finally`` block schedules is dropped too.  :attr:`now`
+        and the processed-event count (``_eid - len(_queue)``) are kept.
+        A :meth:`run` after this raises :class:`RuntimeError`; a second
+        ``close`` does nothing.  Call it between runs, never from inside
+        a process.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.tracer = NULL_TRACER
+        self._metrics = None
+        self.faults = None
+        processed = self._eid - len(self._queue)
+        self._queue.clear()
+        live = self._live
+        while live:  # a ``finally`` block may spawn a process
+            procs = list(live)
+            live.clear()
+            for proc in procs:
+                proc._generator.close()
+        self._queue.clear()
+        self._eid = processed
+
     # -- run loop -----------------------------------------------------------
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -137,6 +174,8 @@ class Environment:
         (return its value once it is processed), or ``None`` (run until
         the heap is empty).
         """
+        if self._closed:
+            raise RuntimeError("the environment is closed")
         at: Optional[Event]
         if until is None:
             at = None

@@ -35,6 +35,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        env._live[self] = None
 
         # Kick off the generator via an immediately-scheduled init event.
         init = Event(env)
@@ -61,11 +62,13 @@ class Process(Event):
                     event.defuse()
                     next_target = self._generator.throw(event._value)
             except StopIteration as stop:
+                del env._live[self]
                 self._ok = True
                 self._value = stop.value
                 env.schedule(self)
                 break
             except BaseException as exc:
+                del env._live[self]
                 self._ok = False
                 self._value = exc
                 env.schedule(self)

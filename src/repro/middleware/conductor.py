@@ -30,8 +30,8 @@ from ..core import (
     LiveMigrationConfig,
     LiveMigrationEngine,
     MigrationReport,
-    RetryPolicy,
 )
+from ..core.recovery import DEFAULT_RETRY
 from ..net import IPAddr
 from ..oskern import SimProcess
 from ..oskern.node import Host
@@ -58,9 +58,6 @@ HEARTBEAT_JITTER = 0.1
 #: silence instead of hanging the calling loop — a crashed or
 #: partitioned peer must look like an error, not a stuck conductor.
 PEER_RPC_TIMEOUT = 2.0
-#: Retry-with-backoff budget applied when a migration attempt fails
-#: and other ranked candidates remain.
-RETRY = RetryPolicy()
 
 
 @dataclass
@@ -231,6 +228,11 @@ class Conductor:
     def unmanage(self, proc: SimProcess) -> None:
         if proc in self.managed:
             self.managed.remove(proc)
+
+    def close(self) -> None:
+        """Cut the planner's back-reference once the world has ended (see
+        :meth:`repro.oskern.Host.close`)."""
+        self.planner.cond = None
 
     def leave(self) -> None:
         """Graceful departure: notify peers and go quiet.
@@ -413,10 +415,10 @@ class Conductor:
         failed = 0
         landed = False
         for candidate in candidates:
-            if attempt >= RETRY.max_attempts:
+            if attempt >= DEFAULT_RETRY.max_attempts:
                 break
             if attempt > 0:
-                delay = RETRY.backoff(attempt - 1)
+                delay = DEFAULT_RETRY.backoff(attempt - 1)
                 if tr.enabled:
                     tr.event(
                         "recover.backoff",

@@ -123,6 +123,15 @@ class Link:
         self._receivers[side] = receiver
         self._owners[side] = owner
 
+    def close(self) -> None:
+        """Detach both sides, the taps and the fault filter, so the link
+        no longer keeps what was attached to it alive (the world it
+        belongs to has ended)."""
+        self._receivers = [None, None]
+        self._owners = [None, None]
+        self._taps = []
+        self._fault_filter = None
+
     def owner(self, side: int) -> Any:
         """The switch or interface attached on ``side``, if any."""
         return self._owners[side]

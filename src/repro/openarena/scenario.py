@@ -158,6 +158,7 @@ def _run_once(cfg: Fig4Config, start_offset: float) -> Fig4Result:
         int(expected_frames) * cfg.n_clients - (snapshots_after - snapshots_before)
         - cfg.n_clients,  # one frame of slack
     )
+    cluster.close()
 
     return Fig4Result(
         report=report,

@@ -69,6 +69,10 @@ class FDTable:
         except KeyError:
             raise ValueError(f"bad file descriptor {fd}") from None
 
+    def clear(self) -> None:
+        """Drop every open file (a socket file refers back to its process)."""
+        self._entries.clear()
+
     def get(self, fd: int) -> OpenFile:
         try:
             return self._entries[fd]

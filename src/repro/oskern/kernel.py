@@ -109,6 +109,20 @@ class Kernel:
             raise RuntimeError(f"{self.node_name} has no public interface")
         return self.public_iface.ip
 
+    def close(self) -> None:
+        """Cut this kernel's reference cycles once its world has ended: the
+        interfaces stop delivering to it, every process's files and the
+        process table are dropped, the netfilter hooks are closed and so
+        is the network stack."""
+        for iface in (self.public_iface, self.local_iface):
+            if iface is not None:
+                iface.set_rx_handler(None)
+        for proc in self.processes.values():
+            proc.fdtable.clear()
+        self.processes.clear()
+        self.netfilter.close()
+        self.stack.close()
+
     # -- process management -----------------------------------------------------
     def spawn_process(self, name: str, nthreads: int = 1) -> SimProcess:
         proc = SimProcess(self, name, nthreads=nthreads)

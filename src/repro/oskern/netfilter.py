@@ -82,6 +82,15 @@ class NetfilterHooks:
         except ValueError:
             raise ValueError(f"hook {hook.name!r} is not registered") from None
 
+    def close(self) -> None:
+        """Unregister every hook and drop its function, so a daemon that
+        keeps its hook handle (and the hook, a bound method of the daemon)
+        forms no reference cycle once the node's world has ended."""
+        for chain in self._chains.values():
+            for hook in chain:
+                hook.fn = None
+            chain.clear()
+
     def hooks(self, chain: str) -> list[NetfilterHook]:
         return list(self._chains[chain])
 

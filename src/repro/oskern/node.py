@@ -225,6 +225,20 @@ class Host:
         #: Daemons installed on this host (conductor, migd, transd, ...).
         self.daemons: dict[str, Any] = {}
 
+    def close(self) -> None:
+        """Close and forget the daemons (those with a ``close`` method cut
+        their own cycles), drop the control plane's handlers and its
+        kernel link and close the kernel (see :meth:`Kernel.close`), so
+        no reference cycle keeps a finished host alive."""
+        for daemon in self.daemons.values():
+            close = getattr(daemon, "close", None)
+            if close is not None:
+                close()
+        self.daemons.clear()
+        self.control._handlers.clear()
+        self.kernel.control = None
+        self.kernel.close()
+
     @property
     def local_ip(self) -> IPAddr:
         return self.kernel.local_ip

@@ -319,7 +319,6 @@ class CampaignResult:
     #: Flat measurement values (``scenario.*`` and ``campaign.*``).
     values: dict[str, float]
     slo_report: SLOReport
-    driver: ScenarioDriver
     migrations: list
 
     @property
@@ -566,6 +565,8 @@ def run_campaign(
 
         Path(series_path).write_text(series_to_csv(driver.series))
 
+    migrations = [ev for ev in world.migration_events() if ev.success]
+    world.cluster.close()
     return CampaignResult(
         campaign=campaign,
         seed=effective_seed,
@@ -573,8 +574,7 @@ def run_campaign(
         duration=duration,
         values=values,
         slo_report=report,
-        driver=driver,
-        migrations=[ev for ev in world.migration_events() if ev.success],
+        migrations=migrations,
     )
 
 

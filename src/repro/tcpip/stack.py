@@ -45,6 +45,15 @@ class NetworkStack:
             self._ephemeral_span = 450
         self._next_ephemeral = self._ephemeral_base
 
+    def close(self) -> None:
+        """Empty the socket tables and cut the stack's back-references, so
+        no reference cycle keeps a finished node's sockets alive."""
+        self.tables.ehash.clear()
+        self.tables.bhash.clear()
+        self.tables.udp_hash.clear()
+        self.ip.stack = None
+        self.kernel = None
+
     # -- socket factories ------------------------------------------------------
     def tcp_socket(self, proc: Any = None) -> TCPSocket:
         """Create a TCP socket, installing it in ``proc``'s FD table."""

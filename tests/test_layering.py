@@ -1,0 +1,44 @@
+"""The substrate imports without the figure, campaign or dashboard code.
+
+``repro`` loads its subpackages lazily, so a library user of the
+simulation kernel pays only for what it imports.  Each check runs in a
+fresh interpreter, since this test process has loaded everything.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+UPPER = ("repro.analysis", "repro.openarena", "repro.scenarios", "repro.obs.dash")
+
+
+@pytest.mark.parametrize("module", ["repro.des", "repro.net", "repro.oskern"])
+def test_substrate_does_not_load_upper_layers(module):
+    probe = (
+        f"import sys, {module}\n"
+        f"upper = {UPPER!r}\n"
+        "print(sorted(m for m in sys.modules if m.startswith(upper)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(SRC)},
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_package_attributes_stay_reachable():
+    import repro
+    from repro import core
+
+    assert core is repro.core
+    assert repro.analysis.run_fig4 is not None
+    assert repro.build_cluster is repro.cluster.build_cluster
+    assert set(repro.__all__) <= set(dir(repro))
+    with pytest.raises(AttributeError):
+        repro.no_such_subpackage
