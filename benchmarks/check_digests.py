@@ -13,23 +13,21 @@ holds one SHA-256 per result:
   equal digest means the run is byte-identical.
 * ``report/<mode>/<compression>``: the report of one small migration
   for every ``precopy``/``postcopy``/``hybrid`` x
-  ``none``/``zero-page``/``xbzrle`` pair, without ``pid`` and
-  ``session`` (they come from process-wide counters).
+  ``none``/``zero-page``/``xbzrle`` pair.
 * ``figure/fig4-quick``, ``figure/fig5bc-quick``: the CSV export of
   ``repro-experiments fig4 --quick`` and ``fig5b --quick`` at the CLI's
   default seed.
 * ``perfbench/<workload>/<seed>``: the simulated-output digest
   perfbench prints, read from the stdout files given as arguments.
 
-The script always computes the first three sections, campaigns first:
-trace ids come from process-wide counters, so the campaign digests hold
-for a fresh interpreter that runs the campaigns in name order before
-any other simulation.  Exits 1 when a digest differs, when a perfbench
-workload printed more than one digest (its passes disagreed), when a
-result has no committed digest, when a committed result is missing
-from a section that ran (for perfbench, from a seed that ran), or when
-nothing is committed for the running versions; exits 2 when the given
-reports hold no perfbench workload.  A deliberate re-baseline edits the
+The script always computes the first three sections.  Every world
+numbers its own processes, so no digest depends on what ran before it
+in the same interpreter.  Exits 1 when a digest differs, when a
+perfbench workload printed more than one digest (its passes disagreed),
+when a result has no committed digest, when a committed result is
+missing from a section that ran (for perfbench, from a seed that ran),
+or when nothing is committed for the running versions; exits 2 when
+the given reports hold no perfbench workload.  A deliberate re-baseline edits the
 JSON file and says why in CHANGES.md.
 """
 
@@ -127,11 +125,9 @@ def run_case(mode: str, compression: str):
 
 
 def report_digest(report) -> str:
-    """SHA-256 of the report's fields, ``pid`` and ``session`` left out.
-    JSON writes floats with ``repr``, so the digest sees every bit."""
-    fields = dataclasses.asdict(report)
-    del fields["pid"], fields["session"]
-    return _sha256(json.dumps(fields, sort_keys=True))
+    """SHA-256 of the report's fields.  JSON writes floats with
+    ``repr``, so the digest sees every bit."""
+    return _sha256(json.dumps(dataclasses.asdict(report), sort_keys=True))
 
 
 def report_digests() -> dict[str, str]:
@@ -157,7 +153,7 @@ def figure_digests() -> dict[str, str]:
     }
 
 
-#: The computed sections, in run order: the campaigns must come first.
+#: The computed sections.
 SECTIONS = {"campaign": campaign_digests, "report": report_digests, "figure": figure_digests}
 
 

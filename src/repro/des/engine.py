@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Any, Generator, Optional
 
 from ..obs.metrics import MetricsRegistry
@@ -51,6 +52,10 @@ class Environment:
         #: :meth:`repro.core.session.MigrationSession.transition`) consult
         #: it; everything stays a no-op while it is ``None``.
         self.faults = None
+        #: The world's process and thread ids: they reach traces and
+        #: reports, so they count from the same start in every world.
+        self.pids = itertools.count(1000)
+        self.tids = itertools.count(100)
 
     # -- clock ------------------------------------------------------------
     @property

@@ -10,9 +10,7 @@ stack verifiably drops (Section V-D).
 
 from __future__ import annotations
 
-import itertools
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 from zlib import crc32
@@ -27,7 +25,6 @@ __all__ = [
     "IP_HEADER_BYTES",
     "TCP_HEADER_BYTES",
     "UDP_HEADER_BYTES",
-    "reserve_packet_ids",
 ]
 
 IP_HEADER_BYTES = 20
@@ -40,12 +37,6 @@ _HEADER_BYTES = {
     PROTO_UDP: IP_HEADER_BYTES + UDP_HEADER_BYTES,
     PROTO_CTL: IP_HEADER_BYTES + UDP_HEADER_BYTES,
 }
-
-_packet_ids = itertools.count(1)
-#: The next packet id.  Every packet, built or only accounted for,
-#: draws from this one counter.
-next_packet_id = _packet_ids.__next__
-
 
 @dataclass(frozen=True, slots=True)
 class TCPFlags:
@@ -78,12 +69,13 @@ class TCPHeader:
     ts_ecr: int = 0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Packet:
     """A simulated IP datagram.
 
     Mutable on purpose: netfilter hooks (capture, address translation)
-    rewrite header fields in place, exactly like ``skb`` mangling.
+    rewrite header fields in place, exactly like ``skb`` mangling.  Two
+    packets are equal only if they are the same packet.
     """
 
     src_ip: IPAddr
@@ -95,7 +87,6 @@ class Packet:
     payload: Any = None
     tcp: Optional[TCPHeader] = None
     checksum: int = 0
-    pkt_id: int = field(default_factory=next_packet_id)
     #: Packet generation time (set by the sender; diagnostics only).
     sent_at: float = 0.0
     #: IP destination-cache entry inherited from the originating socket
@@ -148,9 +139,8 @@ class Packet:
         return self.checksum == transport_checksum(self)
 
     def copy(self) -> "Packet":
-        """Shallow copy with a fresh packet id (used by the broadcast
-        router, which delivers one instance per node so that per-node
-        header mangling never aliases)."""
+        """Shallow copy (used by the broadcast router, which delivers one
+        instance per node so that per-node header mangling never aliases)."""
         tcp = self.tcp
         if tcp is not None:
             tcp = TCPHeader(tcp.seq, tcp.ack, tcp.flags, tcp.window, tcp.ts_val, tcp.ts_ecr)
@@ -190,7 +180,7 @@ def new_packet(
 ) -> Packet:
     """``Packet(...)`` for fields the caller already knows valid (a copy,
     a TCP segment): assigns every init slot directly and skips the
-    checks of ``__post_init__``, with the same id counter and size rule.
+    checks of ``__post_init__``, with the same size rule.
     A new :class:`Packet` field is added here too."""
     pkt = object.__new__(Packet)
     pkt.src_ip = src_ip
@@ -202,17 +192,10 @@ def new_packet(
     pkt.payload = payload
     pkt.tcp = tcp
     pkt.checksum = checksum
-    pkt.pkt_id = next_packet_id()
     pkt.sent_at = sent_at
     pkt.dst_cache_ip = dst_cache_ip
     pkt.size = _HEADER_BYTES[proto] + payload_size
     return pkt
-
-
-def reserve_packet_ids(count: int) -> None:
-    """Advance the packet-id counter past ``count`` packets that are
-    accounted for without being built (a chunk train's padding)."""
-    deque(itertools.islice(_packet_ids, count), maxlen=0)
 
 
 _PROTO_IDS = {PROTO_TCP: 6, PROTO_UDP: 17, PROTO_CTL: 253}

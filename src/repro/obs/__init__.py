@@ -26,109 +26,77 @@ edge vocabulary, the critical-path methodology, the metric namespace,
 the SLO rule syntax and the ``BENCH_*.json`` schema.
 """
 
-from .causal import (
-    CausalEdge,
-    CausalGraph,
-    CausalNode,
-    CriticalPath,
-    PathSegment,
-    build_causal_graph,
-    degradation_breakdown,
-    downtime_critical_path,
-    render_critical_path,
-    total_critical_path,
-)
-from .diff import (
-    MetricDelta,
-    SessionDiff,
-    bench_root_cause_table,
-    diff_traces,
-    render_trace_diff,
-)
-from .export import (
-    MigrationSlice,
-    TraceParseError,
-    fault_kinds,
-    migration_slices,
-    phase_byte_sums,
-    plan_strategies,
-    read_jsonl,
-    render_fault_report,
-    render_plan_report,
-    render_timeline,
-    render_trace_summary,
-    trace_to_jsonl,
-    write_jsonl,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    install_metrics_sampler,
-)
-from .perfetto import to_chrome_trace, write_chrome_trace
-from .samplers import install_host_sampler, install_node_samplers, node_metric_prefix
-from .slo import SLOCheck, SLOReport, SLORule, evaluate_slos, parse_rule
-from .tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TraceEvent,
-    Tracer,
-    assemble_spans,
-    cause_id,
-)
+import importlib
 
-__all__ = [
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "TraceEvent",
-    "Span",
-    "assemble_spans",
-    "cause_id",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "install_metrics_sampler",
-    "install_host_sampler",
-    "install_node_samplers",
-    "node_metric_prefix",
-    "SLORule",
-    "SLOCheck",
-    "SLOReport",
-    "parse_rule",
-    "evaluate_slos",
-    "trace_to_jsonl",
-    "write_jsonl",
-    "read_jsonl",
-    "TraceParseError",
-    "migration_slices",
-    "MigrationSlice",
-    "phase_byte_sums",
-    "render_timeline",
-    "render_trace_summary",
-    "fault_kinds",
-    "render_fault_report",
-    "plan_strategies",
-    "render_plan_report",
-    "CausalNode",
-    "CausalEdge",
-    "CausalGraph",
-    "build_causal_graph",
-    "PathSegment",
-    "CriticalPath",
-    "downtime_critical_path",
-    "total_critical_path",
-    "degradation_breakdown",
-    "render_critical_path",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "MetricDelta",
-    "SessionDiff",
-    "diff_traces",
-    "render_trace_diff",
-    "bench_root_cause_table",
-]
+#: Public names by submodule.  A submodule is imported on first access
+#: to one of its names (PEP 562), so the simulator core, which needs only
+#: the tracer and the metrics, does not load the analysis code.
+_EXPORTS = {
+    "tracer": (
+        "Tracer",
+        "NullTracer",
+        "NULL_TRACER",
+        "TraceEvent",
+        "Span",
+        "assemble_spans",
+        "cause_id",
+    ),
+    "metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "install_metrics_sampler",
+    ),
+    "samplers": ("install_host_sampler", "install_node_samplers", "node_metric_prefix"),
+    "slo": ("SLORule", "SLOCheck", "SLOReport", "parse_rule", "evaluate_slos"),
+    "export": (
+        "trace_to_jsonl",
+        "write_jsonl",
+        "read_jsonl",
+        "TraceParseError",
+        "migration_slices",
+        "MigrationSlice",
+        "phase_byte_sums",
+        "render_timeline",
+        "render_trace_summary",
+        "fault_kinds",
+        "render_fault_report",
+        "plan_strategies",
+        "render_plan_report",
+    ),
+    "causal": (
+        "CausalNode",
+        "CausalEdge",
+        "CausalGraph",
+        "build_causal_graph",
+        "PathSegment",
+        "CriticalPath",
+        "downtime_critical_path",
+        "total_critical_path",
+        "degradation_breakdown",
+        "render_critical_path",
+    ),
+    "perfetto": ("to_chrome_trace", "write_chrome_trace"),
+    "diff": (
+        "MetricDelta",
+        "SessionDiff",
+        "diff_traces",
+        "render_trace_diff",
+        "bench_root_cause_table",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -57,6 +57,8 @@ from .costs import PAGE_SIZE
 
 __all__ = ["VMArea", "AddressSpace", "ExtentSet", "PageBatch", "PAGE_SIZE"]
 
+# Process-wide, as neither value reaches an output: a VMA's id is compared
+# only for identity, and a space's only to tell spaces apart.
 _vma_ids = itertools.count(1)
 _space_ids = itertools.count(1)
 

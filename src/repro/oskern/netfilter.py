@@ -14,8 +14,8 @@ the hook consumed the packet (e.g. queued it for later reinjection).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
 from typing import Callable
 
 from ..net import Packet
@@ -37,20 +37,17 @@ NF_ACCEPT = "NF_ACCEPT"
 NF_DROP = "NF_DROP"
 NF_STOLEN = "NF_STOLEN"
 
-_hook_ids = itertools.count(1)
-
 HookFn = Callable[[Packet], str]
 
 
-@dataclass
+@dataclass(eq=False)
 class NetfilterHook:
-    """One registered hook function."""
+    """One registered hook function (equal only to itself)."""
 
     chain: str
     fn: HookFn
     priority: int = 0
     name: str = ""
-    hook_id: int = field(default_factory=lambda: next(_hook_ids))
 
 
 class NetfilterHooks:
@@ -72,8 +69,8 @@ class NetfilterHooks:
         if chain not in self._chains:
             raise ValueError(f"unknown chain {chain!r}")
         hook = NetfilterHook(chain, fn, priority, name)
-        self._chains[chain].append(hook)
-        self._chains[chain].sort(key=lambda h: (h.priority, h.hook_id))
+        # After every hook of equal priority: registration order breaks ties.
+        insort(self._chains[chain], hook, key=lambda h: h.priority)
         return hook
 
     def unregister(self, hook: NetfilterHook) -> None:

@@ -27,13 +27,11 @@ from ..net import (
     Packet,
     UDP_HEADER_BYTES,
 )
-from ..net.packet import new_packet, reserve_packet_ids, transport_checksum
+from ..net.packet import new_packet, transport_checksum
 from .costs import CostModel
 from .kernel import Kernel
 
 __all__ = ["Host", "ControlPlane", "CtlEnvelope", "RpcError"]
-
-_rpc_ids = itertools.count(1)
 
 
 class RpcError(Exception):
@@ -63,6 +61,8 @@ class ControlPlane:
         #: for RPC requests.
         self._handlers: dict[int, Callable] = {}
         self._pending: dict[int, Event] = {}
+        #: RPC ids: a reply is matched only in this plane's ``_pending``.
+        self._rpc_ids = itertools.count(1)
 
     def register(self, port: int, handler: Callable) -> None:
         if port in self._handlers:
@@ -113,10 +113,10 @@ class ControlPlane:
         for a destination that ignores them (bulk padding).
 
         They cross the wire as one chunk train (see
-        :class:`repro.net.link.ChunkTrain`): the same link time,
-        counters and packet ids as ``count`` :meth:`send` calls, without
-        a packet per copy.  Only an armed fault plane, or a tap on either
-        hop, needs the real packets, and then gets them.
+        :class:`repro.net.link.ChunkTrain`): the same link time and
+        counters as ``count`` :meth:`send` calls, without a packet per
+        copy.  Only an armed fault plane, or a tap on either hop, needs
+        the real packets, and then gets them.
         """
         if count <= 0:
             return
@@ -127,7 +127,6 @@ class ControlPlane:
         )
         iface = self.kernel.route(dst_ip)
         if self.env.faults is None and iface.transmit_train(count, wire, dst_ip):
-            reserve_packet_ids(count)
             return
         for _ in range(count):
             self.send(dst_ip, port, body, size=size)
@@ -144,7 +143,7 @@ class ControlPlane:
         body, or fails with :class:`RpcError` — immediately on an error
         reply, or after ``timeout`` seconds of silence (daemon crashed,
         node unreachable)."""
-        rpc_id = next(_rpc_ids)
+        rpc_id = next(self._rpc_ids)
         ev = Event(self.env)
         self._pending[rpc_id] = ev
         self._transmit(dst_ip, port, body, size, rpc_id=rpc_id)

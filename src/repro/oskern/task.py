@@ -15,7 +15,6 @@ that no socket is locked and no prequeue is in use during the freeze
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
@@ -27,9 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
 
 __all__ = ["Thread", "SimProcess", "ProcessState"]
-
-_tids = itertools.count(100)
-_pids = itertools.count(1000)
 
 
 class ProcessState:
@@ -44,7 +40,7 @@ class ProcessState:
 class Thread:
     """One kernel task: registers, signal handlers, syscall state."""
 
-    tid: int = field(default_factory=lambda: next(_tids))
+    tid: int
     #: Opaque register state; bumped by app code so tests can verify
     #: the *latest* context (not a stale one) arrived at the destination.
     registers_version: int = 0
@@ -72,12 +68,12 @@ class SimProcess:
     def __init__(self, kernel: "Kernel", name: str, nthreads: int = 1) -> None:
         if nthreads < 1:
             raise ValueError("a process needs at least one thread")
-        self.pid = next(_pids)
+        self.pid = next(kernel.env.pids)
         self.name = name
         self.kernel = kernel
         self.address_space = AddressSpace()
         self.fdtable = FDTable()
-        self.threads = [Thread() for _ in range(nthreads)]
+        self.threads = [Thread(next(kernel.env.tids)) for _ in range(nthreads)]
         self.state = ProcessState.RUNNING
         #: Event recreated on each freeze; app loops wait on it to thaw.
         self._thaw_event: Optional[Event] = None
@@ -119,7 +115,7 @@ class SimProcess:
 
     def clone_thread(self) -> Thread:
         """Add a thread (used by the migration helper thread)."""
-        t = Thread()
+        t = Thread(next(self.env.tids))
         self.threads.append(t)
         return t
 

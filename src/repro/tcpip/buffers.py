@@ -20,6 +20,8 @@ from .seq import seq_add, seq_geq, seq_lt
 
 __all__ = ["SKBuff", "WriteQueue", "ReceiveQueue", "OutOfOrderQueue"]
 
+# Process-wide, as no id reaches an output: socket migration compares them
+# only for identity and orders one socket's buffers by them.
 _skb_ids = itertools.count(1)
 
 

@@ -10,14 +10,11 @@ translation filter therefore replaces the entry too.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..net import IPAddr
 
 __all__ = ["DstCacheEntry"]
-
-_dst_ids = itertools.count(1)
 
 
 @dataclass
@@ -25,4 +22,3 @@ class DstCacheEntry:
     """Resolved next-hop/destination for a socket's outgoing packets."""
 
     ip: IPAddr
-    entry_id: int = field(default_factory=lambda: next(_dst_ids))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Any
 
 from ..net import Interface, IPAddr, Packet
@@ -26,6 +27,12 @@ class NetworkStack:
         self._next_ephemeral: int | None = None
         self._ephemeral_base = self.EPHEMERAL_BASE
         self._ephemeral_span = 28000
+        self._iss = itertools.count(10_000, 64_000)
+
+    def new_iss(self) -> int:
+        """The next initial sequence number, counted per host like
+        Linux's ISN generator."""
+        return next(self._iss) % (1 << 32)
 
     def _init_ephemeral_range(self) -> None:
         """Disjoint per-node ephemeral ranges on the cluster network.

@@ -20,7 +20,6 @@ bandwidth-bound, and the receive window provides the flow-control bound.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..des import Event
@@ -50,8 +49,6 @@ ACK = TCPFlags(ack=True)
 SYN = TCPFlags(syn=True)
 SYN_ACK = TCPFlags(syn=True, ack=True)
 FIN_ACK = TCPFlags(fin=True, ack=True)
-
-_iss_counter = itertools.count(10_000, 64_000)
 
 
 class TCPState:
@@ -162,9 +159,6 @@ class TCPSocket:
     def current_ts_val(self) -> int:
         return self.stack.kernel.jiffies.jiffies + self.ts_offset
 
-    def _new_iss(self) -> int:
-        return next(_iss_counter) % (1 << 32)
-
     # ------------------------------------------------------------- user calls
     def bind(self, port: int, ip: Optional[IPAddr] = None) -> None:
         if self.local is not None:
@@ -202,7 +196,7 @@ class TCPSocket:
             self.local = Endpoint(iface.ip, self.stack.alloc_ephemeral_port())
         self.remote = remote
         self.dst_entry = DstCacheEntry(remote.ip)
-        self.iss = self._new_iss()
+        self.iss = self.stack.new_iss()
         self.snd_una = self.iss
         self.snd_nxt = seq_add(self.iss, 1)
         self.state = TCPState.SYN_SENT
@@ -387,7 +381,7 @@ class TCPSocket:
             return  # duplicate SYN for an in-progress connection
         child.irs = hdr.seq
         child.rcv_nxt = seq_add(hdr.seq, 1)
-        child.iss = child._new_iss()
+        child.iss = self.stack.new_iss()
         child.snd_una = child.iss
         child.snd_nxt = seq_add(child.iss, 1)
         child.snd_wnd = hdr.window

@@ -1,10 +1,8 @@
 """Shared by the digest tests: ``benchmarks/check_digests.py`` loaded as a
-module, stand-in digests, and a fresh-interpreter run of one section."""
+module, stand-in digests, and a check of one computed section."""
 
 import importlib.util
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -27,30 +25,12 @@ needs_committed_digests = pytest.mark.skipif(
     reason="no committed digests for these Python and numpy versions",
 )
 
-_CHECK_SECTION = """
-import importlib.util, json, sys
-spec = importlib.util.spec_from_file_location("check_digests", sys.argv[1])
-checker = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(checker)
-section = sys.argv[2]
-expected = json.loads(checker.BASELINE.read_text())[checker.versions_key()]
-found = {f"{section}/{name}": [d] for name, d in checker.SECTIONS[section]().items()}
-problems = checker.check(found, expected, {section})
-print(*problems, sep="\\n")
-sys.exit(1 if problems else 0)
-"""
-
-
 def check_section(section):
-    """Computes one section in a fresh interpreter, so no earlier test in
-    this process shifts the process-wide counters trace ids come from,
-    and checks it against the committed digests."""
-    done = subprocess.run(
-        [sys.executable, "-c", _CHECK_SECTION, str(SCRIPT), section],
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 0, done.stdout + done.stderr
+    """Computes one section and checks it against the committed digests."""
+    expected = json.loads(checker.BASELINE.read_text())[checker.versions_key()]
+    found = {f"{section}/{name}": [d] for name, d in checker.SECTIONS[section]().items()}
+    problems = checker.check(found, expected, {section})
+    assert not problems, "\n".join(problems)
 
 
 def keys(section):

@@ -157,18 +157,11 @@ class TestRetryEndToEnd:
 
 
 class TestDeterminism:
-    def test_same_seed_same_plan_identical_traces(self, monkeypatch):
+    def test_same_seed_same_plan_identical_traces(self):
         """Acceptance criterion: identical FaultPlan seeds produce
         byte-identical trace event sequences across two runs."""
-        import itertools
-
-        from repro.oskern import task
 
         def run_once():
-            # The only interpreter-global state: pid/tid allocators.
-            # Fresh counters make the two runs directly comparable.
-            monkeypatch.setattr(task, "_pids", itertools.count(1000))
-            monkeypatch.setattr(task, "_tids", itertools.count(100))
             cluster = build_cluster(n_nodes=3, with_db=False, master_seed=7)
             tracer = cluster.env.enable_tracing()
             node, proc, children, clients = make_traffic(cluster)

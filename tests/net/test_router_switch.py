@@ -60,8 +60,7 @@ class TestBroadcastRouter:
         client_link.send(udp(CLIENT_IP, CLUSTER_IP), from_side=1)
         env.run()
         pkts = [inbox[0] for _, inbox in nodes]
-        ids = {p.pkt_id for p in pkts}
-        assert len(ids) == len(pkts)
+        assert len({id(p) for p in pkts}) == len(pkts)
         pkts[0].dst_ip = IPAddr("1.2.3.4")
         assert pkts[1].dst_ip == CLUSTER_IP
 

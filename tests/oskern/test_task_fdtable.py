@@ -84,6 +84,14 @@ class TestSimProcess:
         b = kernel.spawn_process("b")
         assert a.pid != b.pid
 
+    def test_each_world_numbers_its_own_processes(self):
+        firsts = []
+        for _ in range(2):
+            host = Host(Environment(), "n1", local_ip=IPAddr("192.168.0.1"))
+            proc = host.kernel.spawn_process("p", nthreads=2)
+            firsts.append((proc.pid, [t.tid for t in proc.threads], proc.clone_thread().tid))
+        assert firsts == [(1000, [100, 101], 102)] * 2
+
     def test_threads(self, kernel):
         proc = kernel.spawn_process("p", nthreads=3)
         assert len(proc.threads) == 3

@@ -193,8 +193,8 @@ class TestCLI:
 
 
 class TestDeterminism:
-    """Same seed => byte-identical traces, in fresh interpreters (pids
-    and other process-global state must not leak into the trace)."""
+    """Same seed => byte-identical traces, whatever ran before in the
+    same interpreter, and across interpreters."""
 
     SCRIPT = """\
 import sys
@@ -221,7 +221,21 @@ print(round(result.values["scenario.achieved_ratio"], 9))
         )
         return trace.read_bytes(), proc.stdout
 
+    def test_trace_does_not_depend_on_earlier_worlds(self, tmp_path):
+        """A world numbers its own processes, so pids and session ids in
+        the trace are the same when three other worlds ran before it."""
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        spec = get_campaign("flash-crowd-node-crash")
+        run_campaign(spec, quick=True, trace_path=first)
+        for name in ("quiet-baseline", "hotset-postcopy", "diurnal-paper"):
+            run_campaign(get_campaign(name), quick=True)
+        run_campaign(spec, quick=True, trace_path=again)
+        assert again.read_bytes() == first.read_bytes()
+        assert b'"pid"' in first.read_bytes()
+
     def test_same_seed_byte_identical_trace(self, tmp_path):
+        """In fresh interpreters: each has its own ``PYTHONHASHSEED``, so
+        this guards against a trace that depends on string-hash order."""
         trace_a, out_a = self._run(tmp_path, "a")
         trace_b, out_b = self._run(tmp_path, "b")
         assert trace_a == trace_b

@@ -69,10 +69,11 @@ class TestTraceByteDeterminism:
         """Same seed -> byte-identical trace JSONL, across interpreters.
 
         Runs the traced fig5b quick migration in two fresh subprocesses
-        (pids are a process-global counter, so in-process reruns would
-        drift) and compares the raw bytes.  This is the guard that the
-        substrate fast paths (batched dirty writes, Deferred timers,
-        route caching) never perturb event ordering.
+        (each has its own ``PYTHONHASHSEED``, so this catches a trace that
+        depends on string-hash order) and compares the raw bytes.  This is
+        also the guard that the substrate fast paths (batched dirty
+        writes, Deferred timers, route caching) never perturb event
+        ordering.
         """
         import subprocess
         import sys

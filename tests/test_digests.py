@@ -23,12 +23,6 @@ def test_committed_file_covers_every_result():
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in COMMITTED.values())
 
 
-def test_campaigns_run_first():
-    # Trace ids come from process-wide counters: the campaign digests
-    # hold only when no other simulation ran before them.
-    assert list(checker.SECTIONS) == ["campaign", "report", "figure"]
-
-
 def test_main_checks_computed_sections_and_given_reports_together(tmp_path, monkeypatch):
     report = tmp_path / "seed1.txt"
     report.write_text(perfbench_report("w", 1, A))

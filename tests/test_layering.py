@@ -32,6 +32,38 @@ def test_substrate_does_not_load_upper_layers(module):
     assert out.strip() == "[]"
 
 
+def test_simulator_core_loads_only_the_tracer_and_metrics_of_obs():
+    analysis = [
+        f"repro.obs.{m}" for m in ("causal", "diff", "export", "perfetto", "samplers", "slo")
+    ]
+    probe = (
+        "import sys, repro.des\n"
+        f"print(sorted(m for m in sys.modules if m in {analysis!r}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(SRC)},
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_obs_names_stay_reachable():
+    import repro.obs as obs
+    from repro.obs import Histogram, write_jsonl
+    from repro.obs.export import write_jsonl as export_write_jsonl
+    from repro.obs.metrics import Histogram as metrics_histogram
+
+    assert Histogram is metrics_histogram
+    assert write_jsonl is export_write_jsonl
+    assert set(obs.__all__) <= set(dir(obs))
+    assert all(getattr(obs, name) is not None for name in obs.__all__)
+    with pytest.raises(AttributeError):
+        obs.no_such_name
+
+
 def test_package_attributes_stay_reachable():
     import repro
     from repro import core

@@ -48,7 +48,7 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert checker.main([]) == 1
 
 
-def test_report_digest_leaves_out_pid_and_session():
+def test_report_digest_covers_pid_and_session():
     from repro.core.stats import MigrationReport
 
     def report(pid, session, rounds):
@@ -63,8 +63,24 @@ def test_report_digest_leaves_out_pid_and_session():
         )
 
     base = checker.report_digest(report(3, "node1>node2#3", 2))
-    assert checker.report_digest(report(9, "node1>node2#9", 2)) == base
+    assert checker.report_digest(report(3, "node1>node2#3", 2)) == base
+    assert checker.report_digest(report(9, "node1>node2#3", 2)) != base
+    assert checker.report_digest(report(3, "node1>node2#9", 2)) != base
     assert checker.report_digest(report(3, "node1>node2#3", 3)) != base
+
+
+def test_report_does_not_depend_on_earlier_worlds():
+    """A world numbers its own processes: the same case gives the same
+    report, pid and session included, whatever ran before it."""
+    import dataclasses
+
+    from repro.scenarios import get_campaign, run_campaign
+
+    first = dataclasses.asdict(checker.run_case("precopy", "none"))
+    run_campaign(get_campaign("flash-crowd-node-crash"), quick=True)
+    again = dataclasses.asdict(checker.run_case("precopy", "none"))
+    assert again == first
+    assert first["pid"] == 1000
 
 
 def test_every_case_migrates_and_exercises_the_compressor(monkeypatch):
