@@ -175,7 +175,7 @@ def test_packet_batch_delivery(benchmark):
 
     All sends land at the same simulated instant; FIFO serialization
     spreads the arrivals.  Measures the per-packet scheduling cost of
-    the link's delivery path (one Deferred per packet, no Event churn).
+    the link's delivery path (one deferred call per packet, no Event churn).
     """
 
     def run():

@@ -128,7 +128,11 @@ class Cluster:
         """End this world: close its environment (see
         :meth:`repro.des.Environment.close`), then cut the reference
         cycles between its hosts, links and daemons, so the whole world
-        is freed by reference counting once nothing outside holds it."""
+        is freed by reference counting once nothing outside holds it.
+        Broadcast copies the nodes skipped go on the heap first, so the
+        environment counts those still in flight as never processed."""
+        for host in self.all_hosts():
+            host.stack.ip.deliver_skipped()
         self.env.close()
         for host in self.all_hosts():
             host.close()

@@ -134,7 +134,7 @@ class CaptureService:
             return 0
         # okfn(): ip_rcv_finish, bypassing LOCAL_IN like the real
         # netfilter continuation.
-        okfn = self.host.kernel.stack.ip_rcv_finish
+        okfn = self.host.kernel.stack.ip.ip_rcv_finish
         for pkt in filt.packets:
             okfn(pkt)
         n = len(filt.packets)

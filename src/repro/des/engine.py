@@ -8,7 +8,7 @@ from typing import Any, Generator, Optional
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
-from .events import NORMAL, URGENT, AllOf, Deferred, Event, Timeout
+from .events import NORMAL, URGENT, AllOf, Event, Timeout
 from .process import Process
 
 __all__ = ["Environment", "StopSimulation"]
@@ -34,8 +34,19 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, int, Any]] = []
         self._eid = 0
+        #: Heap key of the event being (or last) processed: the popped
+        #: entry itself, so the run loop pays one store per event.  Work
+        #: kept off the heap (see :meth:`_passed`) compares its reserved
+        #: ``(time, NORMAL, eid, ...)`` key against it.
+        self._at: tuple = (self._now, URGENT - 1, 0)
+        #: The largest key popped before an URGENT entry scheduled at the
+        #: current instant, which pops after it with a smaller key.
+        self._floor: tuple = self._at
+        #: Latest time of any entry kept off the heap: a run that empties
+        #: the heap ends there, as it would have with those entries on it.
+        self._tail = self._now
         #: Processes whose generator has not finished, in creation order
         #: (a dict used as an ordered set), so :meth:`close` can close
         #: the suspended ones deterministically.
@@ -119,6 +130,8 @@ class Environment:
         """Queue ``event`` for processing after ``delay`` seconds."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
+        if priority < NORMAL and self._at > self._floor:
+            self._floor = self._at
         self._eid += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
@@ -126,8 +139,8 @@ class Environment:
         """Schedule a bare ``fn(arg)`` call ``delay`` seconds from now.
 
         The one-shot fast path for hot single-waiter sites (packet
-        delivery, TCP timers): one tiny :class:`~.events.Deferred` heap
-        entry instead of Event + callback list + closure.  Consumes an
+        delivery, TCP timers): one deferred-call heap entry (see
+        :mod:`.events`) instead of Event + callback list + closure.  Consumes an
         event id exactly like :meth:`schedule`, so converting a call
         site from ``event()``+``schedule`` preserves same-tick ordering
         (and therefore trace-level determinism) bit for bit.
@@ -135,9 +148,19 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self._eid += 1
-        heapq.heappush(
-            self._queue, (self._now + delay, NORMAL, self._eid, Deferred(fn, arg))
-        )
+        heapq.heappush(self._queue, (self._now + delay, NORMAL, self._eid, (fn, arg)))
+
+    def _passed(self) -> tuple:
+        """The heap key of the latest event processed.
+
+        An entry kept off the heap with the reserved key
+        ``(time, NORMAL, eid, ...)`` has taken effect iff it sorts below
+        this key (event ids are unique, so the comparison never reaches
+        the fourth element).  Lazily kept broadcast copies
+        (:meth:`repro.net.Interface.deliver_skipped`) use it.
+        """
+        at = self._at
+        return at if at > self._floor else self._floor
 
     # -- lifetime -----------------------------------------------------------
     def close(self) -> None:
@@ -149,7 +172,10 @@ class Environment:
         ``finally`` blocks run), so nothing the environment holds keeps
         the simulated world reachable.  Nothing is scheduled:
         anything a ``finally`` block schedules is dropped too.  :attr:`now`
-        and the processed-event count (``_eid - len(_queue)``) are kept.
+        and the count of event ids taken minus entries left queued
+        (``_eid - len(_queue)``) are kept; timers and broadcast copies
+        kept lazily take ids without heap entries, so that count is not
+        the number of heap entries popped.
         A :meth:`run` after this raises :class:`RuntimeError`; a second
         ``close`` does nothing.  Call it between runs, never from inside
         a process.
@@ -170,6 +196,8 @@ class Environment:
                 proc._generator.close()
         self._queue.clear()
         self._eid = processed
+        self._at = self._passed()[:3]
+        self._floor = self._at
 
     # -- run loop -----------------------------------------------------------
     def run(self, until: Optional[float | Event] = None) -> Any:
@@ -218,9 +246,10 @@ class Environment:
         pop = heapq.heappop
         try:
             while queue:
-                self._now, _, _, event = pop(queue)
-                if type(event) is Deferred:
-                    event.fn(event.arg)
+                self._now, _, _, event = self._at = pop(queue)
+                if type(event) is tuple:
+                    fn, arg = event
+                    fn(arg)
                     continue
                 callbacks = event.callbacks
                 event.callbacks = None
@@ -232,6 +261,10 @@ class Environment:
                     raise event._value
         except StopSimulation as stop:
             return stop.args[0]
+        # The heap ran dry: whatever was kept off it has taken effect.
+        if self._tail > self._now:
+            self._now = self._tail
+        self._at = (self._now, NORMAL, self._eid + 1)
         if at is not None and not at.triggered:
             if isinstance(until, Event):
                 raise RuntimeError(

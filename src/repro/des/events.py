@@ -23,27 +23,16 @@ PENDING = object()
 URGENT = 0
 NORMAL = 1
 
+#: A heap entry is ``(time, priority, event id, what)``: ``what`` is an
+#: :class:`Event`, or the pair ``(fn, arg)`` of a *deferred call*, the
+#: cheap entry for one-shot work (packet delivery, TCP timers) that the
+#: run loop runs as ``fn(arg)``.  A pair is a tuple literal: no object
+#: to initialize, no callback list, no value bookkeeping.  It is not
+#: awaitable; processes that need to *wait* use real events.
+
 
 class EventAlreadyTriggered(RuntimeError):
     """Raised when succeed/fail is called on an already-triggered event."""
-
-
-class Deferred:
-    """A bare scheduled callback: the cheap heap entry for one-shot work.
-
-    Hot paths that used to build an ``Event``, append a single closure to
-    its callback list and preset its value (packet delivery, TCP timers)
-    schedule one of these instead: two slots, no callback list, no value
-    bookkeeping.  The run loop simply calls ``fn(arg)`` when it pops one.
-    Created via :meth:`Environment.call_later`; not awaitable — processes
-    that need to *wait* still use real events.
-    """
-
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn: Callable[[Any], None], arg: Any) -> None:
-        self.fn = fn
-        self.arg = arg
 
 
 class Event:

@@ -13,7 +13,7 @@ from heapq import heappush
 from typing import Any, Callable, Optional
 
 from ..des import Environment
-from ..des.events import NORMAL, Deferred
+from ..des.events import NORMAL
 from .packet import Packet
 
 __all__ = ["ChunkTrain", "Link", "LinkTap", "LinkFaultFilter", "DROP", "CORRUPT"]
@@ -221,8 +221,34 @@ class Link:
         # order (and trace determinism) is unchanged.
         env._eid = eid = env._eid + 1
         packet.wire_seq = eid
-        heappush(env._queue, (arrival, NORMAL, eid, Deferred(receiver, packet)))
+        heappush(env._queue, (arrival, NORMAL, eid, (receiver, packet)))
         return arrival
+
+    def hold(self, packet: Packet, from_side: int) -> tuple:
+        """Transmit ``packet`` from ``from_side`` without delivering it.
+
+        The wire time, the counters and the event id are exactly those of
+        :meth:`send`; the delivery is left to the caller, which gets the
+        heap key it would have had, as ``(arrival, NORMAL, eid, packet)``.
+        Only for a link with neither a tap nor a fault filter
+        (:attr:`trains_ok`), which would have to see the copy.
+        """
+        env = self.env
+        now = env._now
+        busy = self._busy_until
+        start = busy[from_side]
+        if start < now:
+            start = now
+        size = packet.size
+        done = start + size * 8 / self.bandwidth_bps
+        busy[from_side] = done
+        arrival = done + self.latency
+        self._bytes_sent[from_side] += size
+        self._packets_sent[from_side] += 1
+        env._eid = eid = env._eid + 1
+        if arrival > env._tail:
+            env._tail = arrival
+        return (arrival, NORMAL, eid, packet)
 
     # -- chunk trains ---------------------------------------------------------
     def send_train(self, count: int, size: int, from_side: int, egress: "Link") -> None:
@@ -261,7 +287,7 @@ class Link:
         # takes its id where the per-packet path would, so same-instant
         # order is unchanged.
         env._eid = eid = env._eid + 1
-        heappush(env._queue, (last_at, NORMAL, eid, Deferred(egress._train_end, train)))
+        heappush(env._queue, (last_at, NORMAL, eid, (egress._train_end, train)))
 
     def _train_end(self, train: ChunkTrain) -> None:
         """The last chunk reaches the switch: forward it (and whatever
@@ -272,7 +298,7 @@ class Link:
         env._eid = eid = env._eid + 1
         heappush(
             env._queue,
-            (train.arrivals[-1], NORMAL, eid, Deferred(self._owners[1]._train_delivered, train)),
+            (train.arrivals[-1], NORMAL, eid, (self._owners[1]._train_delivered, train)),
         )
 
     def _settle(self, until: float, rank: int) -> None:

@@ -10,10 +10,8 @@ stack verifiably drops (Section V-D).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Any, Optional
-from zlib import crc32
 
 from .addr import Endpoint, IPAddr, PROTO_CTL, PROTO_TCP, PROTO_UDP
 
@@ -46,6 +44,14 @@ class TCPFlags:
     ack: bool = False
     fin: bool = False
     rst: bool = False
+    #: The four flags as one int (syn 1, ack 2, fin 4, rst 8), as the
+    #: checksum covers them.
+    bits: int = field(init=False, repr=False, compare=False, default=0)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "bits", self.syn | (self.ack << 1) | (self.fin << 2) | (self.rst << 3)
+        )
 
     def __str__(self) -> str:
         bits = [n.upper() for n in ("syn", "ack", "fin", "rst") if getattr(self, n)]
@@ -199,11 +205,6 @@ def new_packet(
 
 
 _PROTO_IDS = {PROTO_TCP: 6, PROTO_UDP: 17, PROTO_CTL: 253}
-_PSEUDO = struct.Struct("!IIBHHI")
-#: The pseudo-header followed by the TCP part (seq, ack, flag bits):
-#: "!" packs without padding, so these are the bytes of the two packed
-#: one after the other.
-_PSEUDO_TCP = struct.Struct("!IIBHHIIIB")
 
 
 def transport_checksum(pkt: Packet) -> int:
@@ -211,14 +212,18 @@ def transport_checksum(pkt: Packet) -> int:
 
     Covers source/destination IP (the pseudo-header — this is why NAT-style
     rewriting must recompute it), ports, length, and for TCP the sequence
-    numbers and flags.  CRC32 stands in for the Internet checksum; only
-    the *dependency set* matters for the model.  (One struct pack: this
-    is computed once per transmitted and once per received packet.)
+    numbers and flags.  The hash of a tuple of those fields as ints stands
+    in for the Internet checksum; only the *dependency set* matters for
+    the model.  It is exact for that purpose: equal fields give equal
+    hashes, in every process (``PYTHONHASHSEED`` salts only str and
+    bytes hashes), and no output holds a checksum, only whether it
+    matched.  (Computed once per transmitted and once per received
+    packet.)
     """
     tcp = pkt.tcp
     if tcp is None:
-        return crc32(
-            _PSEUDO.pack(
+        return hash(
+            (
                 pkt.src_ip._int,
                 pkt.dst_ip._int,
                 _PROTO_IDS[pkt.proto],
@@ -227,9 +232,8 @@ def transport_checksum(pkt: Packet) -> int:
                 pkt.payload_size,
             )
         )
-    flags = tcp.flags
-    return crc32(
-        _PSEUDO_TCP.pack(
+    return hash(
+        (
             pkt.src_ip._int,
             pkt.dst_ip._int,
             _PROTO_IDS[pkt.proto],
@@ -238,6 +242,6 @@ def transport_checksum(pkt: Packet) -> int:
             pkt.payload_size,
             tcp.seq & 0xFFFFFFFF,
             tcp.ack & 0xFFFFFFFF,
-            flags.syn | (flags.ack << 1) | (flags.fin << 2) | (flags.rst << 3),
+            tcp.flags.bits,
         )
     )

@@ -7,6 +7,19 @@ mechanism on a migration *destination* node see packets for a socket it
 does not hold yet (Section III-B) — and why no router reconfiguration is
 needed when connections move inside the cluster.
 
+A copy for a node that could not take it (no socket, listener or
+netfilter hook for it, or a downed interface) would only be counted
+there.  Such a copy is still timed and counted on the link and takes its
+event id, but it is not simulated per copy: the interface keeps it
+(:meth:`~.nic.Interface.skip`) and counts it once the event heap passes
+its arrival.  If the node's receive state changes first (a socket or
+bound port is hashed, a ``LOCAL_IN`` hook registered, the interface
+goes up or down, the handler changes or the world closes), the interface
+turns every copy still in flight into a real delivery under the heap key
+it reserved (:meth:`~.nic.Interface.deliver_skipped`), so every
+simulated result is as if each copy had been delivered.  Links with a
+tap or a fault filter always get a real copy.
+
 Packets leaving the cluster are forwarded to the client host owning the
 destination IP.
 """
@@ -50,7 +63,18 @@ class BroadcastRouter:
         """Inbound: broadcast a copy of the packet to every server node."""
         self.broadcast_count += 1
         for link in self._server_links:
-            link.send(packet.copy(), from_side=0)
+            nic = link._owners[1]
+            # No tap and no fault filter (``Link.trains_ok``): nothing on
+            # the link needs to see the copy.
+            if (
+                nic is not None
+                and not link._taps
+                and link._fault_filter is None
+                and nic.would_drop(packet)
+            ):
+                nic.skip(link.hold(packet, 0))
+            else:
+                link.send(packet.copy(), from_side=0)
 
     def _from_server(self, packet: Packet) -> None:
         """Outbound: unicast to the client host owning dst ip."""

@@ -58,20 +58,25 @@ class Kernel:
         from ..tcpip.stack import NetworkStack
 
         self.stack: "NetworkStack" = NetworkStack(self)
+        self.netfilter.before_local_in = self.stack.ip.deliver_skipped
 
     # -- interfaces / routing ------------------------------------------------
     def attach_public(self, iface: Interface) -> None:
         if self.public_iface is not None:
             raise RuntimeError("public interface already attached")
         self.public_iface = iface
-        iface.set_rx_handler(self._rx)
-        self._route_cache.clear()
+        self._attach_rx(iface)
 
     def attach_local(self, iface: Interface) -> None:
         if self.local_iface is not None:
             raise RuntimeError("local interface already attached")
         self.local_iface = iface
-        iface.set_rx_handler(self._rx)
+        self._attach_rx(iface)
+
+    def _attach_rx(self, iface: Interface) -> None:
+        ip = self.stack.ip
+        iface.set_rx_handler(self._rx, ip.could_take, ip.not_taken)
+        ip.rx_ifaces.append(iface)
         self._route_cache.clear()
 
     def _rx(self, packet, iface: Interface) -> None:
@@ -79,7 +84,7 @@ class Kernel:
             if self.control is not None:
                 self.control.dispatch(packet)
             return
-        self.stack.ip_rcv(packet, iface)
+        self.stack.ip.ip_rcv(packet, iface)
 
     def route(self, dst_ip: IPAddr) -> Interface:
         """Pick the egress interface for a destination (cached)."""

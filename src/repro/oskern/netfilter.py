@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from ..net import Packet
 
@@ -56,6 +56,10 @@ class NetfilterHooks:
     CHAINS = (NF_INET_LOCAL_IN, NF_INET_LOCAL_OUT)
 
     def __init__(self) -> None:
+        #: Called before a ``LOCAL_IN`` hook is registered: the node's IP
+        #: layer then delivers the broadcast copies in flight that the
+        #: hook might see (:meth:`repro.tcpip.ip.IPLayer.deliver_skipped`).
+        self.before_local_in: Optional[Callable[[], None]] = None
         #: The live, priority-sorted hooks of each chain.  Registration
         #: changes these lists in place, so a holder (the IP layer skips an
         #: empty chain without calling :meth:`run`) always sees the current
@@ -68,6 +72,8 @@ class NetfilterHooks:
     def register(self, chain: str, fn: HookFn, priority: int = 0, name: str = "") -> NetfilterHook:
         if chain not in self._chains:
             raise ValueError(f"unknown chain {chain!r}")
+        if chain == NF_INET_LOCAL_IN and self.before_local_in is not None:
+            self.before_local_in()
         hook = NetfilterHook(chain, fn, priority, name)
         # After every hook of equal priority: registration order breaks ties.
         insort(self._chains[chain], hook, key=lambda h: h.priority)
@@ -87,6 +93,7 @@ class NetfilterHooks:
             for hook in chain:
                 hook.fn = None
             chain.clear()
+        self.before_local_in = None
 
     def hooks(self, chain: str) -> list[NetfilterHook]:
         return list(self._chains[chain])

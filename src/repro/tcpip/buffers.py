@@ -16,7 +16,7 @@ from typing import Any, Iterator, Optional
 
 from ..des import Environment, Event
 from ..net import Endpoint
-from .seq import seq_add, seq_geq, seq_lt
+from .seq import SEQ_MOD, seq_add, seq_lt
 
 __all__ = ["SKBuff", "WriteQueue", "ReceiveQueue", "OutOfOrderQueue"]
 
@@ -24,8 +24,10 @@ __all__ = ["SKBuff", "WriteQueue", "ReceiveQueue", "OutOfOrderQueue"]
 # only for identity and orders one socket's buffers by them.
 _skb_ids = itertools.count(1)
 
+_HALF = SEQ_MOD >> 1
 
-@dataclass
+
+@dataclass(slots=True)
 class SKBuff:
     """A buffered data segment.
 
@@ -40,7 +42,7 @@ class SKBuff:
     src: Optional[Endpoint] = None
     ts_jiffies: int = 0
     retransmits: int = 0
-    skb_id: int = field(default_factory=lambda: next(_skb_ids))
+    skb_id: int = field(default_factory=_skb_ids.__next__)
 
     @property
     def end_seq(self) -> int:
@@ -84,8 +86,10 @@ class WriteQueue:
     def ack_up_to(self, ack_seq: int) -> list[SKBuff]:
         """Remove fully-acknowledged segments; returns them."""
         acked = []
-        while self._bufs and seq_geq(ack_seq, self._bufs[0].end_seq):
-            acked.append(self._bufs.pop(0))
+        bufs = self._bufs
+        # seq_geq(ack_seq, skb.end_seq), inlined.
+        while bufs and (ack_seq - bufs[0].seq - bufs[0].size) % SEQ_MOD < _HALF:
+            acked.append(bufs.pop(0))
         return acked
 
     def head(self) -> Optional[SKBuff]:
@@ -112,7 +116,8 @@ class ReceiveQueue:
 
     def push(self, skb: SKBuff) -> None:
         self._bufs.append(skb)
-        self._wake()
+        if self._readers:
+            self._wake()
 
     def _wake(self) -> None:
         while self._readers and self._bufs:

@@ -9,17 +9,17 @@ rehashed (Section V-C.2).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from ..net import FlowKey, IPAddr, Packet
+from ..net import FlowKey, IPAddr
 
 __all__ = ["SocketTables"]
 
 
 #: ``ehash`` key: (local ip, local port, remote ip, remote port).  A flat
 #: tuple of interned addresses and ints hashes and compares at C speed,
-#: and :meth:`SocketTables.ehash_lookup_rx` builds it straight from a
-#: packet's header.
+#: and :meth:`repro.tcpip.ip.IPLayer.ip_rcv_finish` builds it straight
+#: from a packet's header.
 EKey = tuple[IPAddr, int, IPAddr, int]
 
 
@@ -32,6 +32,10 @@ class SocketTables:
     """Per-node socket lookup state."""
 
     def __init__(self) -> None:
+        #: Called before a socket or port is hashed: the node's IP layer
+        #: then delivers the broadcast copies in flight that it might now
+        #: take (:meth:`repro.tcpip.ip.IPLayer.deliver_skipped`).
+        self.before_insert: Optional[Callable[[], None]] = None
         #: Established TCP connections: :data:`EKey` -> TCPSocket.
         self.ehash: dict[EKey, Any] = {}
         #: Bound/listening TCP sockets: (ip, port) -> TCPSocket.
@@ -44,6 +48,8 @@ class SocketTables:
         ekey = _ekey(key)
         if ekey in self.ehash:
             raise ValueError(f"ehash collision for {key}")
+        if self.before_insert is not None:
+            self.before_insert()
         self.ehash[ekey] = sock
 
     def ehash_remove(self, key: FlowKey) -> Any:
@@ -55,16 +61,13 @@ class SocketTables:
     def ehash_lookup(self, key: FlowKey) -> Optional[Any]:
         return self.ehash.get(_ekey(key))
 
-    def ehash_lookup_rx(self, pkt: Packet) -> Optional[Any]:
-        """The established socket a received packet belongs to, keyed
-        straight from its header (no ``Endpoint`` or ``FlowKey``)."""
-        return self.ehash.get((pkt.dst_ip, pkt.dport, pkt.src_ip, pkt.sport))
-
     # -- TCP bound/listening -----------------------------------------------------
     def bhash_insert(self, ip: Optional[IPAddr], port: int, sock: Any) -> None:
         key = (ip, port)
         if key in self.bhash:
             raise ValueError(f"port {port} already bound")
+        if self.before_insert is not None:
+            self.before_insert()
         self.bhash[key] = sock
 
     def bhash_remove(self, ip: Optional[IPAddr], port: int) -> Any:
@@ -85,6 +88,8 @@ class SocketTables:
         key = (ip, port)
         if key in self.udp_hash:
             raise ValueError(f"udp port {port} already bound")
+        if self.before_insert is not None:
+            self.before_insert()
         self.udp_hash[key] = sock
 
     def udp_remove(self, ip: Optional[IPAddr], port: int) -> Any:

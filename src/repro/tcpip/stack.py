@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Any
 
-from ..net import Interface, IPAddr, Packet
+from ..net import IPAddr
 from .hashtables import SocketTables
 from .ip import IPLayer
 from .tcp import TCPSocket
@@ -22,8 +22,11 @@ class NetworkStack:
     def __init__(self, kernel: Any) -> None:
         self.kernel = kernel
         self.env = kernel.env
+        #: The node's jiffies clock, which stamps its TCP timestamps.
+        self.jiffies = kernel.jiffies
         self.tables = SocketTables()
         self.ip = IPLayer(self)
+        self.tables.before_insert = self.ip.deliver_skipped
         self._next_ephemeral: int | None = None
         self._ephemeral_base = self.EPHEMERAL_BASE
         self._ephemeral_span = 28000
@@ -58,6 +61,9 @@ class NetworkStack:
         self.tables.ehash.clear()
         self.tables.bhash.clear()
         self.tables.udp_hash.clear()
+        self.tables.before_insert = None
+        self.ip._settle_skipped()
+        self.ip.rx_ifaces.clear()
         self.ip.stack = None
         self.kernel = None
 
@@ -108,12 +114,3 @@ class NetworkStack:
         if k.local_iface is not None:
             return k.local_iface.ip
         raise RuntimeError("stack has no interface")
-
-    def ip_rcv(self, pkt: Packet, iface: Interface) -> None:
-        self.ip.ip_rcv(pkt, iface)
-
-    def ip_rcv_finish(self, pkt: Packet) -> None:
-        self.ip.ip_rcv_finish(pkt)
-
-    def ip_output(self, pkt: Packet) -> None:
-        self.ip.ip_output(pkt)

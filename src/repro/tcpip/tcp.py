@@ -6,7 +6,8 @@ Implements what the paper's socket migration manipulates (Section V-C.1):
 - sequence/ack bookkeeping with the write / receive / out-of-order
   queues, plus the backlog (packets arriving under a user lock) and the
   prequeue (fast-path receive while a reader is blocked);
-- RTO-based retransmission with an armable/clearable timer;
+- RTO-based retransmission with an armable/clearable timer that keeps
+  one wake per socket on the event heap (``mod_timer``-style);
 - TCP timestamps derived from the node's *jiffies* clock through a
   per-socket ``ts_offset`` (the field migration adjusts), with a
   PAWS-style check on the receiver so that unadjusted timestamps cause
@@ -20,14 +21,16 @@ bandwidth-bound, and the receive window provides the flow-control bound.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..des import Event
+from ..des.events import NORMAL
 from ..net import Endpoint, FlowKey, IPAddr, PROTO_TCP, Packet, TCPFlags, TCPHeader
 from ..net.packet import new_packet, transport_checksum
 from .buffers import OutOfOrderQueue, ReceiveQueue, SKBuff, WriteQueue
 from .dstcache import DstCacheEntry
-from .seq import seq_add, seq_gt, seq_leq
+from .seq import SEQ_MOD, seq_add, seq_gt, seq_leq
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stack import NetworkStack
@@ -46,9 +49,12 @@ EOF = object()
 #: The flag sets segments carry, shared by every segment (``TCPFlags``
 #: is frozen).
 ACK = TCPFlags(ack=True)
+_ACK_BITS = ACK.bits
 SYN = TCPFlags(syn=True)
 SYN_ACK = TCPFlags(syn=True, ack=True)
 FIN_ACK = TCPFlags(fin=True, ack=True)
+
+_HALF = SEQ_MOD >> 1
 
 
 class TCPState:
@@ -92,8 +98,12 @@ class TCPSocket:
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
         self.rto = INITIAL_RTO
-        self._rto_gen = 0
         self.rto_armed = False
+        #: ``(deadline, eid)`` of the latest arm: the heap key the timer
+        #: fires under (see :meth:`_arm_rto`).
+        self._rto_key: Optional[tuple[float, int]] = None
+        #: Key of the socket's one live wake on the event heap, if any.
+        self._rto_wake: Optional[tuple[float, int]] = None
 
         # -- timestamps --
         #: Added to node jiffies when stamping ts_val; migration adds the
@@ -157,7 +167,11 @@ class TCPSocket:
         return FlowKey(PROTO_TCP, self.local, self.remote)
 
     def current_ts_val(self) -> int:
-        return self.stack.kernel.jiffies.jiffies + self.ts_offset
+        """The node's jiffies plus ``ts_offset``: the TCP timestamp clock.
+        The per-segment paths (``_build_packet``, ``_tcp_rcv``'s fast
+        path, ``_ack_advances``) compute the same sum inline."""
+        clock = self.stack.jiffies
+        return clock.boot_offset + int(self.env._now * clock.hz) + self.ts_offset
 
     # ------------------------------------------------------------- user calls
     def bind(self, port: int, ip: Optional[IPAddr] = None) -> None:
@@ -222,7 +236,7 @@ class TCPSocket:
                 payload=payload,
                 # Raw node jiffies (like skb->tstamp): this is the field
                 # migration shifts by the inter-node jiffies delta.
-                ts_jiffies=self.kernel.jiffies.jiffies,
+                ts_jiffies=self.stack.jiffies.jiffies,
             )
             self.write_queue.append(skb)
             self.snd_nxt = seq_add(self.snd_nxt, chunk)
@@ -300,10 +314,10 @@ class TCPSocket:
             self.backlog_hits += 1
             return
         if (
-            self.prequeue_enabled
+            pkt.payload_size > 0
+            and self.prequeue_enabled
             and self.state == TCPState.ESTABLISHED
             and self.receive_queue.has_waiting_reader
-            and pkt.payload_size > 0
         ):
             # Fast path: queue to the prequeue, processed "in process
             # context" — modelled as an immediately-scheduled drain.
@@ -316,6 +330,29 @@ class TCPSocket:
     def _tcp_rcv(self, pkt: Packet) -> None:
         hdr = pkt.tcp
         assert hdr is not None
+
+        # Header prediction: an in-order ESTABLISHED segment carrying only
+        # ACK whose timestamp has not regressed.  The steps below are the
+        # slow path's for that segment (PAWS passes, the ACK is processed,
+        # data goes to the receive queue), with the seq_* tests inlined.
+        ts_val = hdr.ts_val
+        if (
+            self.state == TCPState.ESTABLISHED
+            and hdr.flags.bits == _ACK_BITS
+            and hdr.seq == self.rcv_nxt
+            and ts_val >= self.ts_recent
+        ):
+            if ts_val != 0 and ts_val > self.ts_recent:
+                self.ts_recent = ts_val
+                clock = self.stack.jiffies
+                self.ts_recent_stamp = (
+                    clock.boot_offset + int(self.env._now * clock.hz) + self.ts_offset
+                )
+            if 0 < (hdr.ack - self.snd_una) % SEQ_MOD < _HALF:
+                self._ack_advances(hdr)
+            if pkt.payload_size > 0:
+                self._queue_in_order(pkt)
+            return
 
         if self.state == TCPState.LISTEN:
             if hdr.flags.syn and not hdr.flags.ack:
@@ -411,27 +448,7 @@ class TCPSocket:
 
     def _process_ack(self, hdr: TCPHeader) -> None:
         if seq_gt(hdr.ack, self.snd_una):
-            acked = self.write_queue.ack_up_to(hdr.ack)
-            self.snd_una = hdr.ack
-            self.snd_wnd = hdr.window
-            # RTT sample from the echoed timestamp.
-            if hdr.ts_ecr != 0 and acked:
-                rtt_j = self.current_ts_val() - hdr.ts_ecr
-                if rtt_j >= 0:
-                    self._rtt_sample(rtt_j / self.kernel.jiffies.hz)
-            # Congestion window growth (tracked only).
-            if self.cwnd < self.ssthresh:
-                self.cwnd += MSS
-            else:
-                self.cwnd += max(1, MSS * MSS // self.cwnd)
-            if len(self.write_queue) == 0:
-                self._stop_rto()
-                if self.state == TCPState.FIN_WAIT_1 and hdr.ack == self.snd_nxt:
-                    self.state = TCPState.FIN_WAIT_2
-                elif self.state == TCPState.LAST_ACK and hdr.ack == self.snd_nxt:
-                    self._become_closed()
-            else:
-                self._arm_rto()
+            self._ack_advances(hdr)
         # Even without new data acked, FIN ack handling:
         elif self.state == TCPState.FIN_WAIT_1 and hdr.ack == self.snd_nxt:
             self.state = TCPState.FIN_WAIT_2
@@ -439,31 +456,63 @@ class TCPSocket:
         elif self.state == TCPState.LAST_ACK and hdr.ack == self.snd_nxt:
             self._become_closed()
 
+    def _ack_advances(self, hdr: TCPHeader) -> None:
+        """``hdr`` acknowledges new data (its ack is past ``snd_una``)."""
+        acked = self.write_queue.ack_up_to(hdr.ack)
+        self.snd_una = hdr.ack
+        self.snd_wnd = hdr.window
+        # RTT sample from the echoed timestamp.
+        if hdr.ts_ecr != 0 and acked:
+            clock = self.stack.jiffies
+            now_ts = clock.boot_offset + int(self.env._now * clock.hz) + self.ts_offset
+            rtt_j = now_ts - hdr.ts_ecr
+            if rtt_j >= 0:
+                self._rtt_sample(rtt_j / clock.hz)
+        # Congestion window growth (tracked only).
+        if self.cwnd < self.ssthresh:
+            self.cwnd += MSS
+        else:
+            self.cwnd += max(1, MSS * MSS // self.cwnd)
+        if len(self.write_queue) == 0:
+            self._stop_rto()
+            if self.state == TCPState.FIN_WAIT_1 and hdr.ack == self.snd_nxt:
+                self.state = TCPState.FIN_WAIT_2
+            elif self.state == TCPState.LAST_ACK and hdr.ack == self.snd_nxt:
+                self._become_closed()
+        else:
+            self._arm_rto()
+
     def _process_data(self, pkt: Packet) -> None:
         hdr = pkt.tcp
         assert hdr is not None
-        skb = SKBuff(
-            seq=hdr.seq,
-            size=pkt.payload_size,
-            payload=pkt.payload,
-            src=Endpoint(pkt.src_ip, pkt.sport),
-            ts_jiffies=self.kernel.jiffies.jiffies,
-        )
         if hdr.seq == self.rcv_nxt:
-            self.receive_queue.push(skb)
-            self.rcv_nxt = skb.end_seq
-            self.bytes_received += skb.size
-            for run_skb in self.ooo_queue.pop_in_order(self.rcv_nxt):
-                self.receive_queue.push(run_skb)
-                self.rcv_nxt = run_skb.end_seq
-                self.bytes_received += run_skb.size
-            self._send_ctl(ACK, seq=self.snd_nxt)
-        elif seq_gt(hdr.seq, self.rcv_nxt):
-            self.ooo_queue.insert(skb)
-            self._send_ctl(ACK, seq=self.snd_nxt)  # dup ack
-        else:
-            # Old or duplicate data: re-ack.
-            self._send_ctl(ACK, seq=self.snd_nxt)
+            self._queue_in_order(pkt)
+            return
+        if seq_gt(hdr.seq, self.rcv_nxt):
+            self.ooo_queue.insert(self._skb(pkt))
+        # Out of order: dup ack; old or duplicate data: re-ack.
+        self._send_ctl(ACK, seq=self.snd_nxt)
+
+    def _skb(self, pkt: Packet) -> SKBuff:
+        """The received segment as a buffer; its source is the peer, so
+        the socket's equal ``remote`` serves when it matches."""
+        src = self.remote
+        if src is None or src.ip is not pkt.src_ip or src.port != pkt.sport:
+            src = Endpoint(pkt.src_ip, pkt.sport)
+        return SKBuff(pkt.tcp.seq, pkt.payload_size, pkt.payload, src, self.stack.jiffies.jiffies)
+
+    def _queue_in_order(self, pkt: Packet) -> None:
+        """Data at ``rcv_nxt``: queue it, and whatever out-of-order run it
+        completes, for the application; then ACK."""
+        size = pkt.payload_size
+        self.receive_queue.push(self._skb(pkt))
+        self.rcv_nxt = (pkt.tcp.seq + size) % SEQ_MOD  # the buffer's end_seq
+        self.bytes_received += size
+        for run_skb in self.ooo_queue.pop_in_order(self.rcv_nxt):
+            self.receive_queue.push(run_skb)
+            self.rcv_nxt = run_skb.end_seq
+            self.bytes_received += run_skb.size
+        self._send_ctl(ACK, seq=self.snd_nxt)
 
     def _process_fin(self, hdr: TCPHeader) -> None:
         if self.fin_received:
@@ -501,20 +550,48 @@ class TCPSocket:
         self.rto = min(MAX_RTO, max(MIN_RTO, self.srtt + 4 * self.rttvar))
 
     def _arm_rto(self) -> None:
-        self._rto_gen += 1
+        """(Re)start the retransmission timer, due ``rto`` from now.
+
+        Like Linux's ``mod_timer``, a re-arm moves the deadline instead
+        of adding a timer.  Each arm takes an event id and records the
+        key ``(deadline, eid)``; the timer fires under the heap key
+        ``(deadline, NORMAL, eid)``, exactly where one heap entry per arm
+        would have fired it.  A wake goes on the heap only when the
+        socket has none pending or the new key sorts before it;
+        :meth:`_rto_due` carries a wake on to a later key.
+        """
+        env = self.env
+        env._eid = eid = env._eid + 1
+        deadline = env._now + self.rto
+        if deadline > env._tail:
+            env._tail = deadline
+        self._rto_key = key = (deadline, eid)
         self.rto_armed = True
-        # One Deferred per (re)arm instead of a Timeout + closure; the
-        # generation check in _rto_fire already absorbs stale firings.
-        self.env.call_later(self.rto, self._rto_fire, self._rto_gen)
+        wake = self._rto_wake
+        if wake is None or key < wake:
+            self._rto_wake = key
+            heappush(env._queue, (deadline, NORMAL, eid, (self._rto_due, key)))
 
     def _stop_rto(self) -> None:
         """Clear the retransmission timer (first step of migration)."""
-        self._rto_gen += 1
         self.rto_armed = False
 
-    def _rto_fire(self, gen: int) -> None:
-        if gen != self._rto_gen or not self.rto_armed:
+    def _rto_due(self, key: tuple[float, int]) -> None:
+        """A wake of the retransmission timer pops at ``key``."""
+        if key is not self._rto_wake:
+            return  # an earlier wake replaced this one
+        self._rto_wake = None
+        if not self.rto_armed:
             return
+        armed = self._rto_key
+        if armed is key:
+            self._rto_fire()
+            return
+        # Re-armed since with a later deadline: wake again at its key.
+        self._rto_wake = armed
+        heappush(self.env._queue, (armed[0], NORMAL, armed[1], (self._rto_due, armed)))
+
+    def _rto_fire(self) -> None:
         if self.migrating:
             return
         head = self.write_queue.head()
@@ -544,6 +621,9 @@ class TCPSocket:
         remote = self.remote
         assert local is not None and remote is not None
         entry = self.dst_entry
+        clock = self.stack.jiffies
+        now = self.env._now
+        ts_val = clock.boot_offset + int(now * clock.hz) + self.ts_offset
         pkt = new_packet(
             local.ip,
             remote.ip,
@@ -552,20 +632,20 @@ class TCPSocket:
             remote.port,
             size,
             payload,
-            TCPHeader(seq, self.rcv_nxt, flags, self.rcv_wnd, self.current_ts_val(), self.ts_recent),
+            TCPHeader(seq, self.rcv_nxt, flags, self.rcv_wnd, ts_val, self.ts_recent),
             0,
-            self.env._now,
+            now,
             entry.ip if entry is not None else None,
         )
         pkt.checksum = transport_checksum(pkt)
         return pkt
 
     def _send_ctl(self, flags: TCPFlags, seq: int) -> None:
-        self.stack.ip_output(self._build_packet(flags, seq, None, 0))
+        self.stack.ip.ip_output(self._build_packet(flags, seq, None, 0))
 
     def _send_data(self, skb: SKBuff) -> None:
         pkt = self._build_packet(ACK, skb.seq, skb.payload, skb.size)
-        self.stack.ip_output(pkt)
+        self.stack.ip.ip_output(pkt)
 
     def __repr__(self) -> str:
         flow = f"{self.local}<->{self.remote}" if self.remote else f"{self.local}"

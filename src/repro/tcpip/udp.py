@@ -87,7 +87,7 @@ class UDPSocket:
         if self.dst_entry is not None and dest == self.remote:
             pkt.dst_cache_ip = self.dst_entry.ip
         pkt.seal()
-        self.stack.ip_output(pkt)
+        self.stack.ip.ip_output(pkt)
         self.datagrams_sent += 1
 
     def send(self, payload: Any, size: int) -> None:

@@ -29,7 +29,7 @@ class TestCaptureService:
         node = two_nodes.nodes[0]
         svc = install_capture_service(node)
         svc.enable([KEY])
-        node.stack.ip_rcv(tcp_pkt(), node.public_iface)
+        node.stack.ip.ip_rcv(tcp_pkt(), node.public_iface)
         assert svc.queue_length(KEY) == 1
         assert node.stack.ip.hook_stolen == 1
 
@@ -37,7 +37,7 @@ class TestCaptureService:
         node = two_nodes.nodes[0]
         svc = install_capture_service(node)
         svc.enable([KEY])
-        node.stack.ip_rcv(tcp_pkt(dport=9999), node.public_iface)
+        node.stack.ip.ip_rcv(tcp_pkt(dport=9999), node.public_iface)
         assert svc.queue_length(KEY) == 0
         # No socket for it either -> silent drop, but not stolen.
         assert node.stack.ip.no_socket_drops == 1
@@ -46,9 +46,9 @@ class TestCaptureService:
         node = two_nodes.nodes[0]
         svc = install_capture_service(node)
         svc.enable([KEY])
-        node.stack.ip_rcv(tcp_pkt(seq=500), node.public_iface)
-        node.stack.ip_rcv(tcp_pkt(seq=500), node.public_iface)
-        node.stack.ip_rcv(tcp_pkt(seq=600), node.public_iface)
+        node.stack.ip.ip_rcv(tcp_pkt(seq=500), node.public_iface)
+        node.stack.ip.ip_rcv(tcp_pkt(seq=500), node.public_iface)
+        node.stack.ip.ip_rcv(tcp_pkt(seq=600), node.public_iface)
         assert svc.queue_length(KEY) == 2
         filt = svc._filters[KEY]
         assert filt.duplicates_dropped == 1
@@ -57,16 +57,16 @@ class TestCaptureService:
         node = two_nodes.nodes[0]
         svc = install_capture_service(node)
         svc.enable([KEY])
-        node.stack.ip_rcv(tcp_pkt(seq=500, size=0), node.public_iface)
-        node.stack.ip_rcv(tcp_pkt(seq=500, size=0), node.public_iface)
+        node.stack.ip.ip_rcv(tcp_pkt(seq=500, size=0), node.public_iface)
+        node.stack.ip.ip_rcv(tcp_pkt(seq=500, size=0), node.public_iface)
         assert svc.queue_length(KEY) == 2
 
     def test_wildcard_key_matches_any_remote(self, two_nodes):
         node = two_nodes.nodes[0]
         svc = install_capture_service(node)
         svc.enable([(None, 0, 27960)])
-        node.stack.ip_rcv(tcp_pkt(sport=1111), node.public_iface)
-        node.stack.ip_rcv(tcp_pkt(sport=2222, seq=999), node.public_iface)
+        node.stack.ip.ip_rcv(tcp_pkt(sport=1111), node.public_iface)
+        node.stack.ip.ip_rcv(tcp_pkt(sport=2222, seq=999), node.public_iface)
         assert svc.queue_length((None, 0, 27960)) == 2
 
     def test_reinject_deliver_to_socket(self, two_nodes):
@@ -121,5 +121,5 @@ class TestCaptureService:
         node = two_nodes.nodes[0]
         svc = install_capture_service(node)
         svc.enable([KEY])
-        node.stack.ip_rcv(tcp_pkt(), node.public_iface)
+        node.stack.ip.ip_rcv(tcp_pkt(), node.public_iface)
         assert svc.reinject_cost(KEY) == node.kernel.costs.reinject_cost

@@ -137,7 +137,7 @@ class TestCallLater:
             env.call_later(-0.1, lambda _: None)
 
     def test_ordering_against_events_is_by_schedule_order(self, env):
-        """Deferreds and events at the same instant fire in schedule order."""
+        """Deferred calls and events at the same instant fire in schedule order."""
         order = []
         env.timeout(1.0).callbacks.append(lambda e: order.append("event-a"))
         env.call_later(1.0, lambda _: order.append("deferred"))

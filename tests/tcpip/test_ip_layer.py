@@ -30,29 +30,29 @@ class TestReceivePath:
         node.kernel.netfilter.register(
             NF_INET_LOCAL_IN, lambda p: seen.append(p) or NF_ACCEPT
         )
-        node.stack.ip_rcv(udp_pkt(node, seal=False), node.public_iface)
+        node.stack.ip.ip_rcv(udp_pkt(node, seal=False), node.public_iface)
         assert node.stack.ip.checksum_drops == 1
         assert seen == []
 
     def test_hook_drop_counted(self, node):
         node.kernel.netfilter.register(NF_INET_LOCAL_IN, lambda p: NF_DROP)
-        node.stack.ip_rcv(udp_pkt(node), node.public_iface)
+        node.stack.ip.ip_rcv(udp_pkt(node), node.public_iface)
         assert node.stack.ip.hook_drops == 1
 
     def test_hook_steal_counted(self, node):
         node.kernel.netfilter.register(NF_INET_LOCAL_IN, lambda p: NF_STOLEN)
-        node.stack.ip_rcv(udp_pkt(node), node.public_iface)
+        node.stack.ip.ip_rcv(udp_pkt(node), node.public_iface)
         assert node.stack.ip.hook_stolen == 1
 
     def test_no_socket_silent_drop(self, node):
-        node.stack.ip_rcv(udp_pkt(node), node.public_iface)
+        node.stack.ip.ip_rcv(udp_pkt(node), node.public_iface)
         assert node.stack.ip.no_socket_drops == 1
         assert node.stack.ip.delivered == 0
 
     def test_delivery_counted(self, node):
         sock = node.stack.udp_socket()
         sock.bind(4000, ip=node.public_ip)
-        node.stack.ip_rcv(udp_pkt(node), node.public_iface)
+        node.stack.ip.ip_rcv(udp_pkt(node), node.public_iface)
         assert node.stack.ip.delivered == 1
         assert sock.datagrams_received == 1
 
@@ -61,7 +61,7 @@ class TestReceivePath:
         node.kernel.netfilter.register(NF_INET_LOCAL_IN, lambda p: NF_DROP)
         sock = node.stack.udp_socket()
         sock.bind(4000, ip=node.public_ip)
-        node.stack.ip_rcv_finish(udp_pkt(node))
+        node.stack.ip.ip_rcv_finish(udp_pkt(node))
         assert sock.datagrams_received == 1
 
     def test_tcp_non_syn_without_socket_no_rst(self, node):
@@ -77,7 +77,7 @@ class TestReceivePath:
             tcp=TCPHeader(seq=1, ack=1),
         ).seal()
         before = node.public_iface.tx_packets
-        node.stack.ip_rcv(pkt, node.public_iface)
+        node.stack.ip.ip_rcv(pkt, node.public_iface)
         assert node.stack.ip.no_socket_drops == 1
         assert node.public_iface.tx_packets == before  # nothing sent back
 
@@ -101,6 +101,6 @@ class TestTransmitPath:
         pkt.src_ip, pkt.dst_ip = pkt.dst_ip, pkt.src_ip
         pkt.dst_cache_ip = IPAddr("198.51.100.99")
         pkt.seal()
-        node.stack.ip_output(pkt)
+        node.stack.ip.ip_output(pkt)
         assert sent and sent[0].wire_dst == IPAddr("198.51.100.99")
         node.public_iface.transmit = orig

@@ -72,7 +72,7 @@ class TestTraceByteDeterminism:
         (each has its own ``PYTHONHASHSEED``, so this catches a trace that
         depends on string-hash order) and compares the raw bytes.  This is
         also the guard that the substrate fast paths (batched dirty
-        writes, Deferred timers, route caching) never perturb event
+        writes, deferred-call timers, route caching) never perturb event
         ordering.
         """
         import subprocess
