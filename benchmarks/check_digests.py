@@ -11,6 +11,9 @@ holds one SHA-256 per result:
 * ``campaign/<name>``: each named campaign's quick-mode JSONL trace.  A
   trace records every decision, migration and fault of a run, so an
   equal digest means the run is byte-identical.
+* ``series/<name>``: each named campaign's quick-mode per-tick
+  ``scenario.*`` series, as the CSV ``repro-campaign --out`` writes and
+  ``repro-dash`` reads, from a run without tracing.
 * ``report/<mode>/<compression>``: the report of one small migration
   for every ``precopy``/``postcopy``/``hybrid`` x
   ``none``/``zero-page``/``xbzrle`` pair.
@@ -20,7 +23,7 @@ holds one SHA-256 per result:
 * ``perfbench/<workload>/<seed>``: the simulated-output digest
   perfbench prints, read from the stdout files given as arguments.
 
-The script always computes the first three sections.  Every world
+The script always computes the first four sections.  Every world
 numbers its own processes, so no digest depends on what ran before it
 in the same interpreter.  Exits 1 when a digest differs, when a
 perfbench workload printed more than one digest (its passes disagreed),
@@ -86,17 +89,28 @@ def parse_report(text: str) -> dict[str, list[str]]:
     return found
 
 
-def campaign_digests() -> dict[str, str]:
-    """``campaign name -> SHA-256`` of its quick-mode trace."""
+def _quick_campaign_digests(option: str, suffix: str) -> dict[str, str]:
+    """``campaign name -> SHA-256`` of the file each named campaign's
+    quick run writes through the ``run_campaign`` keyword ``option``."""
     from repro.scenarios.campaign import campaign_names, get_campaign, run_campaign
 
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in campaign_names():
-            path = Path(tmp) / f"{name}.trace.jsonl"
-            run_campaign(get_campaign(name), quick=True, trace_path=path)
+            path = Path(tmp) / f"{name}.{suffix}"
+            run_campaign(get_campaign(name), quick=True, **{option: path})
             digests[name] = _sha256(path.read_bytes())
     return digests
+
+
+def campaign_digests() -> dict[str, str]:
+    """``campaign name -> SHA-256`` of its quick-mode trace."""
+    return _quick_campaign_digests("trace_path", "trace.jsonl")
+
+
+def series_digests() -> dict[str, str]:
+    """``campaign name -> SHA-256`` of its quick-mode series CSV."""
+    return _quick_campaign_digests("series_path", "series.csv")
 
 
 def run_case(mode: str, compression: str):
@@ -154,7 +168,12 @@ def figure_digests() -> dict[str, str]:
 
 
 #: The computed sections.
-SECTIONS = {"campaign": campaign_digests, "report": report_digests, "figure": figure_digests}
+SECTIONS = {
+    "campaign": campaign_digests,
+    "series": series_digests,
+    "report": report_digests,
+    "figure": figure_digests,
+}
 
 
 def producer(key: str) -> str:

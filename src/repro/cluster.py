@@ -62,6 +62,9 @@ class Cluster:
         self.switch = Switch(self.env)
         self.public_ip = IPAddr(cfg.public_ip)
         self.nodes: list[Host] = []
+        #: Kernel -> the server node it runs, for O(1) process-host
+        #: lookups (a back-reference from the kernel would be a cycle).
+        self._node_of_kernel: dict = {}
         self.public_links: list[Link] = []
         self.local_links: dict[str, Link] = {}
         self.clients: list[Host] = []
@@ -101,6 +104,7 @@ class Cluster:
 
             install_transd(node)
             self.nodes.append(node)
+            self._node_of_kernel[node.kernel] = node
 
         if cfg.with_db:
             db_ip = IPAddr(f"{cfg.local_subnet}{cfg.db_host_octet}")
@@ -211,6 +215,10 @@ class Cluster:
             if node.name == name:
                 return node
         raise KeyError(name)
+
+    def node_of(self, kernel) -> Optional[Host]:
+        """The server node whose kernel is ``kernel`` (``None`` if none)."""
+        return self._node_of_kernel.get(kernel)
 
     def node_by_local_ip(self, ip: IPAddr) -> Host:
         for node in self.nodes:

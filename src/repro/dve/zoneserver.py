@@ -188,11 +188,10 @@ class ZoneServer:
 
     def current_node(self) -> Host:
         """The host this process currently runs on (changes on migration)."""
-        kernel = self.proc.kernel
-        for node in self.cluster.nodes:
-            if node.kernel is kernel:
-                return node
-        raise RuntimeError(f"{self.proc} not on any cluster node")
+        node = self.cluster.node_of(self.proc.kernel)
+        if node is None:
+            raise RuntimeError(f"{self.proc} not on any cluster node")
+        return node
 
     # -- load model ---------------------------------------------------------------
     def set_population(self, n_clients: int) -> None:

@@ -54,6 +54,9 @@ HEARTBEAT_INTERVAL = 1.0
 #: seeded stream, so a cluster's conductors neither heartbeat in
 #: lockstep nor desynchronize between runs.
 HEARTBEAT_JITTER = 0.1
+#: Jitter draws taken from the stream at once (``Generator.random(n)``
+#: yields the same doubles as ``n`` scalar draws).
+JITTER_BLOCK = 64
 #: Control RPCs to peers (discover, reserve) fail after this much
 #: silence instead of hanging the calling loop — a crashed or
 #: partitioned peer must look like an error, not a stuck conductor.
@@ -261,15 +264,16 @@ class Conductor:
     # -- protocol handler ----------------------------------------------------------
     def _handle(self, body: dict, src_ip: IPAddr, respond) -> None:
         op = body.get("op")
-        if op == "discover":
+        if op == "heartbeat":  # the most frequent op, by far
+            info = body["info"]
+            self.peers.update(info)
+            self.detector.heard_from(info.local_ip, info.node_name)
+        elif op == "discover":
             # Mutual exchange: learn the prober, tell it about us.
             self.peers.update(body["info"])
             self.detector.heard_from(body["info"].local_ip, body["info"].node_name)
             if respond:
                 respond({"info": self.load_info()})
-        elif op == "heartbeat":
-            self.peers.update(body["info"])
-            self.detector.heard_from(body["info"].local_ip, body["info"].node_name)
         elif op == "reserve":
             ok = not self.asleep and self.admission.try_reserve(body["sender"])
             if not ok:
@@ -340,27 +344,31 @@ class Conductor:
         jitter_rng = np.random.default_rng(
             zlib.crc32(self.host.local_ip.value.encode())
         )
+        send = self.host.control.send
         while True:
-            period = HEARTBEAT_INTERVAL * (
-                1.0 + HEARTBEAT_JITTER * (2.0 * jitter_rng.random() - 1.0)
-            )
-            yield self.env.timeout(period)
-            self.peers.prune_stale(self.env.now)
-            self.detector.check()
-            info = self.load_info()
-            tr = self.env.tracer
-            if tr.enabled:
-                tr.event(
-                    "cond.heartbeat",
-                    node=self.host.name,
-                    cpu=info.cpu_percent,
-                    nprocs=info.nprocs,
-                    peers=len(self.peers.peers()),
+            for u in jitter_rng.random(JITTER_BLOCK).tolist():
+                period = HEARTBEAT_INTERVAL * (
+                    1.0 + HEARTBEAT_JITTER * (2.0 * u - 1.0)
                 )
-            for peer in self.peers.peers():
-                self.host.control.send(
-                    peer.local_ip, CONDUCTOR_PORT, {"op": "heartbeat", "info": info}, size=96
-                )
+                yield self.env.timeout(period)
+                self.peers.prune_stale(self.env.now)
+                self.detector.check()
+                info = self.load_info()
+                peers = self.peers.peers()
+                tr = self.env.tracer
+                if tr.enabled:
+                    tr.event(
+                        "cond.heartbeat",
+                        node=self.host.name,
+                        cpu=info.cpu_percent,
+                        nprocs=info.nprocs,
+                        peers=len(peers),
+                    )
+                # One body for every peer: no handler mutates a one-way
+                # message.
+                body = {"op": "heartbeat", "info": info}
+                for peer in peers:
+                    send(peer.local_ip, CONDUCTOR_PORT, body, size=96)
 
     def _balance_loop(self):
         # Small phase offset so conductors don't act in lockstep —

@@ -124,6 +124,10 @@ class PeerDatabase:
             (fresh if info.age(now) <= window else stale).append(info)
         return fresh, stale
 
+    def count_stale(self, now: float, window: float) -> int:
+        """``len(partition_fresh(now, window)[1])``, without the lists."""
+        return sum(not info.age(now) <= window for info in self._peers.values())
+
     def __len__(self) -> int:
         return len(self._peers)
 

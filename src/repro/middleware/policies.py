@@ -48,7 +48,12 @@ class PolicyConfig:
 
 
 class TransferPolicy:
-    """Sender-initiated, threshold-driven (Section IV-A)."""
+    """Sender-initiated, threshold-driven (Section IV-A).
+
+    ``should_initiate`` must be a pure function of its arguments: the
+    ``paper-threshold`` strategy asks it both as its quiet gate and
+    again when it plans.
+    """
 
     def __init__(self, config: PolicyConfig) -> None:
         self.config = config

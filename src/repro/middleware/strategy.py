@@ -273,10 +273,18 @@ class Strategy:
     Implementations must be deterministic given the model and their own
     (explicitly seeded) rng, and must not perform side effects — the
     planner owns execution.  Duck typing suffices; subclassing this
-    base is a convenience, not a requirement.
+    base is a convenience, not a requirement (a strategy without
+    :meth:`may_act` is consulted every round).
     """
 
     name = "?"
+
+    def may_act(self, local: float, average: float) -> bool:
+        """Could :meth:`plan` emit anything at this local load and
+        cluster average?  False promises an empty plan (no actions, no
+        power action) that draws no randomness and changes no state, so
+        the planner settles the round without building a model."""
+        return True
 
     def plan(self, model: ClusterModel) -> MigrationPlan:
         raise NotImplementedError
@@ -322,6 +330,9 @@ class PaperThresholdStrategy(Strategy):
         self.transfer = transfer or TransferPolicy(config)
         self.location = location or LocationPolicy(config)
         self.selection = selection or SelectionPolicy(config)
+
+    def may_act(self, local: float, average: float) -> bool:
+        return self.transfer.should_initiate(local, average)
 
     def plan(self, model: ClusterModel) -> MigrationPlan:
         plan = MigrationPlan(self.name, model.now)
@@ -392,6 +403,9 @@ class BalanceToAverageStrategy(Strategy):
             raise ValueError("band must be positive")
         self.config = config
         self.band = band
+
+    def may_act(self, local: float, average: float) -> bool:
+        return local - average > self.band
 
     def plan(self, model: ClusterModel) -> MigrationPlan:
         plan = MigrationPlan(self.name, model.now)
@@ -578,6 +592,11 @@ class CycleAwareStrategy(Strategy):
         if model.local.cpu_percent >= cfg.critical_threshold:
             return True
         return model.overload >= self.urgent_factor * cfg.imbalance_threshold
+
+    def may_act(self, local: float, average: float) -> bool:
+        # Without inner actions there is nothing to re-time.
+        may_act = getattr(self.inner, "may_act", None)
+        return may_act is None or may_act(local, average)
 
     def plan(self, model: ClusterModel) -> MigrationPlan:
         inner = self.inner.plan(model)
@@ -796,8 +815,9 @@ def _make_consolidate(config: "ConductorConfig", rng, **params) -> Strategy:
 class Planner:
     """Executes strategy plans through the conductor's machinery.
 
-    One per conductor.  Each balance round it snapshots a
-    :class:`ClusterModel`, consults the strategy, and walks the plan's
+    One per conductor.  Each balance round the strategy can act in (see
+    :meth:`Strategy.may_act`), it snapshots a :class:`ClusterModel`,
+    consults the strategy, and walks the plan's
     actions in rank order: due actions run through the conductor's
     two-phase reserve / detector veto / retry path, future-dated
     actions are parked until ``not_before``, and actions that race
@@ -931,13 +951,26 @@ class Planner:
 
     # -- the round ---------------------------------------------------------
     def round(self):
-        """One balance round (generator; the conductor yields from it)."""
+        """One balance round (generator; the conductor yields from it).
+
+        When nothing is deferred and the strategy's
+        :meth:`~Strategy.may_act` says it cannot act, the round is
+        settled without a model: it counts the peers the staleness guard
+        would have skipped, as :meth:`build_model` does, and ends.
+        """
         cond = self.cond
         local = cond.monitor.current_load()
         self._record_history(local)
         if cond.admission.busy or cond.admission.calming or not cond.peers:
             return
         average = cond.peers.cluster_average(local)
+        if not self._deferred:
+            may_act = getattr(self.strategy, "may_act", None)
+            if may_act is not None and not may_act(local, average):
+                self.stale_skipped_total += cond.peers.count_stale(
+                    self.env.now, self.staleness
+                )
+                return
         model = self.build_model(local, average)
         if self._deferred:
             # A deferred plan is still in flight: execute what has come

@@ -122,7 +122,12 @@ class ScenarioDriver:
         self.dirtier_stats: list[dict] = []
         #: Unmanaged background processes, one per node (spec.background).
         self._bg_procs: list = []
-        self._last_counts = np.zeros(len(grid.zones), dtype=int)
+        self._last_total = 0
+        #: Per-zone, offered and achieved series, made at the first tick
+        #: (a driver that never ticks leaves the bundle empty).
+        self._zone_series: list = []
+        self._offered_series = None
+        self._achieved_series = None
         #: (time, weights) history for dependency-chain lag lookup.
         self._weight_history: deque = deque()
         self._flash_open: set[int] = set()
@@ -196,14 +201,6 @@ class ScenarioDriver:
         }
 
     # -- the tick ---------------------------------------------------------------
-    def _zone_reachable(self, zs: "ZoneServer") -> bool:
-        """Clients can reach the zone only while its node's interfaces
-        are administratively up (node crash/stall faults take them
-        down)."""
-        node = zs.current_node()
-        ifaces = [i for i in (node.public_iface, node.local_iface) if i is not None]
-        return all(i.up for i in ifaces)
-
     def _weights_at(self, t: float) -> np.ndarray:
         spec = self.spec
         weights = spec.zones.weights(self.grid, t)
@@ -256,36 +253,50 @@ class ScenarioDriver:
                 )
 
         # Joins/leaves: the net population delta plus drawn churn.
-        delta = int(counts.sum()) - int(self._last_counts.sum())
+        populations = counts.tolist()
+        total = sum(populations)
+        delta = total - self._last_total
         joins = max(delta, 0)
         leaves = max(-delta, 0)
         if spec.mix is not None:
-            expected = spec.mix.expected_churn(float(counts.sum())) * spec.tick
+            expected = spec.mix.expected_churn(float(total)) * spec.tick
             churn = int(self.rng.poisson(expected)) if expected > 0 else 0
             joins += churn
             leaves += churn
         self.joins_total += joins
         self.leaves_total += leaves
 
+        if not self._zone_series:
+            prefix = series_prefix(self.campaign)
+            series = self.series.series
+            self._zone_series = [
+                series(f"{prefix}zone.{zs.zone.zone_id}.clients")
+                for zs in self.zone_servers
+            ]
+            self._offered_series = series(f"{prefix}offered")
+            self._achieved_series = series(f"{prefix}achieved")
+
         achieved = 0
-        prefix = series_prefix(self.campaign)
-        for zs, n in zip(self.zone_servers, counts):
-            n = int(n)
+        for zs, n, zone_series in zip(
+            self.zone_servers, populations, self._zone_series
+        ):
             zs.set_population(n)
-            if self._zone_reachable(zs):
+            # Clients reach the zone only while both of its node's
+            # interfaces are administratively up (node crash/stall
+            # faults take them down).
+            node = zs.current_node()
+            if node.public_iface.up and node.local_iface.up:
                 achieved += n
-            self.series.record(
-                f"{prefix}zone.{zs.zone.zone_id}.clients", t, float(n)
-            )
-        self._last_counts = counts
+            zone_series.record(t, float(n))
+        self._last_total = total
 
         self.ticks += 1
         self.last_offered = offered
         self.last_achieved = achieved
         self.offered_client_s += offered * spec.tick
         self.achieved_client_s += achieved * spec.tick
-        self.series.record(f"{prefix}offered", t, float(offered))
-        self.series.record(f"{prefix}achieved", t, float(achieved))
+        self._offered_series.record(t, float(offered))
+        self._achieved_series.record(t, float(achieved))
 
         metrics = self.env.metrics
         if metrics is not None:

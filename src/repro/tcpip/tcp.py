@@ -605,6 +605,7 @@ class TCPSocket:
             else:
                 self.rto_armed = False
                 return
+            self.retransmit_count += 1
         else:
             head.retransmits += 1
             self.retransmit_count += 1

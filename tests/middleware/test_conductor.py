@@ -243,3 +243,51 @@ class TestReserveProtocol:
         run_for(cluster, 0.5)
         assert not conductors[1].admission.busy
         assert not conductors[1].admission.calming  # aborted, no calm-down
+
+
+class TestHeartbeatJitter:
+    """The heartbeat loop draws its jitter in blocks of ``JITTER_BLOCK``;
+    the schedule must stay the one a scalar draw per beat gives."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1])
+    def test_a_block_of_draws_equals_scalar_draws(self, seed):
+        import numpy as np
+
+        from repro.middleware.conductor import JITTER_BLOCK
+
+        blocks, scalars = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = blocks.random(JITTER_BLOCK).tolist() + blocks.random(JITTER_BLOCK).tolist()
+        assert drawn == [scalars.random() for _ in range(2 * JITTER_BLOCK)]
+        # The streams stay in step after the blocks.
+        assert blocks.random() == scalars.random()
+
+    def test_heartbeat_instants_follow_one_scalar_draw_per_beat(self):
+        import zlib
+
+        import numpy as np
+
+        from repro.middleware.conductor import (
+            HEARTBEAT_INTERVAL,
+            HEARTBEAT_JITTER,
+            JITTER_BLOCK,
+        )
+
+        cluster, _ = build_balanced_cluster(n_nodes=2)
+        cluster.env.enable_tracing()
+        start = cluster.env.now
+        run_for(cluster, HEARTBEAT_INTERVAL * (JITTER_BLOCK * 1.2 + 2))
+        for node in cluster.nodes:
+            got = [
+                ev.time
+                for ev in cluster.env.tracer.events
+                if ev.name == "cond.heartbeat" and ev.fields["node"] == node.name
+            ]
+            assert len(got) > JITTER_BLOCK
+            rng = np.random.default_rng(zlib.crc32(node.local_ip.value.encode()))
+            t, expected = start, []
+            for _ in got:
+                t = t + HEARTBEAT_INTERVAL * (
+                    1.0 + HEARTBEAT_JITTER * (2.0 * rng.random() - 1.0)
+                )
+                expected.append(t)
+            assert got == expected

@@ -378,7 +378,10 @@ class TestLazyModel:
         for i, node in enumerate(cluster.nodes):
             conductors[i].manage(spawn_worker(node, 1.0, name=f"zs{i}"))
         run_for(cluster, 15.0)
-        assert counts["builds"] > 20
+        # The rounds ran (each samples the local load) and were settled
+        # by the strategy's gate before any model was built.
+        assert all(len(c.planner._history[c.host.name]) > 10 for c in conductors)
+        assert counts["builds"] == 0
         assert counts["shares"] == 0
         assert counts["peer_views"] == 0
         assert all(c.planner.plans_total == 0 for c in conductors)

@@ -8,7 +8,7 @@ the same instant, bit for bit.
 """
 
 from repro.cluster import build_cluster
-from repro.net import DROP
+from repro.net import DROP, Endpoint
 from repro.tcpip import TCPSocket
 from repro.testing import establish_clients, run_for
 
@@ -233,3 +233,25 @@ def test_run_dry_ends_where_stale_wakes_would(monkeypatch):
     assert arms == eager_arms
     t_b, rto_b = arms[-1]
     assert lazy_now == eager_now == t_b + rto_b
+
+
+class TestControlRetransmissions:
+    def test_syn_retransmission_is_counted(self):
+        # The client's first SYN reaches node1 before anything listens
+        # there and is dropped; the handshake completes on the SYN sent
+        # again when the initial 0.2 s timeout fires.
+        cluster = build_cluster(n_nodes=2, with_db=False)
+        node = cluster.nodes[0]
+        client = cluster.add_client().stack.tcp_socket()
+        connected = client.connect(Endpoint(cluster.public_ip, 27960))
+        run_for(cluster, 0.1)
+        assert not connected.triggered
+        listener = node.stack.tcp_socket()
+        listener.bind(27960, ip=node.public_ip)
+        listener.listen()
+        run_for(cluster, 0.09)
+        assert not connected.triggered
+        run_for(cluster, 0.11)
+        assert connected.triggered
+        assert client.retransmit_count == 1
+        assert client.rto == 0.4

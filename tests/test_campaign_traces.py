@@ -1,4 +1,5 @@
-"""The committed quick-campaign trace digests and how check_digests.py gates on them."""
+"""The committed quick-campaign trace and series digests and how
+check_digests.py gates on them."""
 
 import hashlib
 import sys
@@ -12,6 +13,7 @@ from .digest_checker import use_baseline
 
 def test_committed_file_covers_every_named_campaign():
     assert keys("campaign") == set(campaign_names())
+    assert keys("series") == set(campaign_names())
 
 
 def test_versions_key_names_python_minor_and_numpy():
@@ -68,6 +70,29 @@ def test_trace_digests_hash_each_quick_trace(monkeypatch):
     }
 
 
+def test_series_digests_hash_each_quick_series_csv(monkeypatch):
+    # Stand-in campaigns: the digest is the SHA-256 of the series CSV
+    # run_campaign writes, from a run without tracing.
+    import repro.scenarios.campaign as campaign
+
+    def fake_run(spec, *, quick, series_path):
+        assert quick
+        Path(series_path).write_text(f"series of {spec}\n")
+
+    monkeypatch.setattr(campaign, "campaign_names", lambda: ["x", "y"])
+    monkeypatch.setattr(campaign, "get_campaign", lambda name: name.upper())
+    monkeypatch.setattr(campaign, "run_campaign", fake_run)
+    assert checker.series_digests() == {
+        name: hashlib.sha256(f"series of {name.upper()}\n".encode()).hexdigest()
+        for name in ("x", "y")
+    }
+
+
 @needs_committed_digests
 def test_quick_campaign_traces_equal_the_committed_ones():
     check_section("campaign")
+
+
+@needs_committed_digests
+def test_quick_campaign_series_equal_the_committed_ones():
+    check_section("series")

@@ -11,7 +11,7 @@ from .digest_checker import perfbench_report, use_baseline
 
 
 def test_committed_file_covers_every_result():
-    expected = {f"campaign/{name}" for name in campaign_names()}
+    expected = {f"{section}/{name}" for section in ("campaign", "series") for name in campaign_names()}
     expected |= {f"report/{m}/{c}" for m in checker.MODES for c in checker.COMPRESSIONS}
     expected |= {"figure/fig4-quick", "figure/fig5bc-quick"}
     expected |= {
