@@ -37,7 +37,6 @@ from .strategy import (
     CycleAwareStrategy,
     MigrationAction,
     MigrationPlan,
-    NodeView,
     PaperThresholdStrategy,
     Planner,
     Strategy,
@@ -63,7 +62,6 @@ __all__ = [
     "MigrationEvent",
     "CONDUCTOR_PORT",
     "install_conductor",
-    "NodeView",
     "ClusterModel",
     "MigrationAction",
     "MigrationPlan",

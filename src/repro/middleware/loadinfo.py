@@ -108,24 +108,14 @@ class PeerDatabase:
         peers = self._peers
         return [peers[ip] for ip in order]
 
-    def partition_fresh(
-        self, now: float, window: float
-    ) -> tuple[list[LoadInfo], list[LoadInfo]]:
-        """Split peers into (fresh, stale) by heartbeat age.
-
-        The planner's staleness guard: peers whose last heartbeat is
-        older than ``window`` are still *known* (they have not lapsed
-        past ``stale_timeout`` and been pruned) but their load figures
-        are too old to rank as migration candidates.
-        """
-        fresh: list[LoadInfo] = []
-        stale: list[LoadInfo] = []
-        for info in self.peers():
-            (fresh if info.age(now) <= window else stale).append(info)
-        return fresh, stale
-
     def count_stale(self, now: float, window: float) -> int:
-        """``len(partition_fresh(now, window)[1])``, without the lists."""
+        """Peers whose last heartbeat is older than ``window``.
+
+        The planner's staleness guard: such peers are still *known*
+        (they have not lapsed past ``stale_timeout`` and been pruned)
+        but their load figures are too old to rank as migration
+        candidates.
+        """
         return sum(not info.age(now) <= window for info in self._peers.values())
 
     def __len__(self) -> int:

@@ -7,11 +7,9 @@ loop.  This module splits it into three replaceable layers:
   a decision can legally depend on: the local load, the peer database's
   latest heartbeats (with the *staleness guard* applied — peers whose
   heartbeat is older than ``ConductorConfig.plan_staleness`` are
-  reported but never ranked), failure-detector verdicts, per-process
-  CPU shares, admission headroom and a rolling per-node load history.
-  The costly fields are computed on first read, and the planner forces
-  the unread ones before anything can change them, so a round pays only
-  for what its strategy reads and still sees one snapshot.
+  counted but never ranked), per-process CPU shares, admission headroom
+  and a rolling per-node load history.  The planner builds one only for
+  a round that will read it.
 - :class:`Strategy` — consumes a model, emits a ranked
   :class:`MigrationPlan` of :class:`MigrationAction`\\ s
   ``(proc, source, candidates, score, not_before)``.  Strategies are
@@ -52,9 +50,8 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .detector import ALIVE
 from .loadinfo import LoadInfo
 from .policies import (
     LocationPolicy,
@@ -68,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .conductor import Conductor, ConductorConfig
 
 __all__ = [
-    "NodeView",
     "ClusterModel",
     "MigrationAction",
     "MigrationPlan",
@@ -94,54 +90,25 @@ MAX_CANDIDATES = 3
 # The model
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class NodeView:
-    """One node as the decision plane sees it this round."""
-
-    name: str
-    ip: object
-    cpu_percent: float
-    nprocs: int
-    #: Seconds since this node's figures were taken (0 for the local node).
-    heartbeat_age: float
-    #: Failure-detector verdict: ``alive`` / ``suspect`` / ``dead``.
-    health: str = ALIVE
-    is_self: bool = False
-    #: Powered down by the ``consolidate`` strategy (heartbeats go on).
-    asleep: bool = False
-
-    @property
-    def usable(self) -> bool:
-        return self.health == ALIVE
-
-
-@dataclass
 class ClusterModel:
     """Snapshot handed to a strategy; everything a plan may depend on.
 
-    Built once per balance round by the :class:`Planner`.  ``peers`` /
-    ``peer_infos`` contain only *rankable* peers — the staleness guard
-    has already dropped entries whose heartbeat age exceeds the window
-    (they are listed in ``stale_peers`` for observability), and sleeping
-    peers are never candidates (they are listed in ``asleep_peers``).
-    ``average`` is the paper's approximation over all known *awake*
-    peers plus the local node, as the pre-refactor loop computed it.
-
-    The planner builds ``peers``, ``stale_peers``, ``asleep_peers``,
-    ``shares`` and ``history`` on first read (:meth:`lazy`) and
-    :meth:`force`\\ s the rest before the round can yield, so every
-    field describes the same instant.  Constructed directly, a model
-    holds the values it was given.
+    Built by the :class:`Planner` for each balance round that reads
+    one.  ``peers`` contains only *rankable* peers: the staleness guard
+    has already dropped heartbeats older than the window (the planner
+    counts them in ``stale_skipped_total``), and sleeping peers are
+    never candidates (they are listed in ``asleep_peers``).  ``average``
+    is the paper's approximation over all known *awake* peers plus the
+    local node.
     """
 
     now: float
-    local: NodeView
-    #: Rankable peers (fresh heartbeat, awake), sorted by node name.
-    peers: list[NodeView]
-    #: Heartbeats too old to rank (known but excluded by the guard).
-    stale_peers: list[NodeView]
-    #: The raw heartbeat records behind ``peers`` (same order) — these
-    #: are what actions carry as candidates.
-    peer_infos: list[LoadInfo]
+    #: This node as a heartbeat would report it this round: the sampled
+    #: load, ``nprocs = len(managed)``, ``timestamp = now``.
+    local: LoadInfo
+    #: Rankable peers' latest heartbeats (fresh, awake), sorted by node
+    #: name; these are what actions carry as candidates.
+    peers: list[LoadInfo]
     #: Approximated cluster-wide average CPU including this node.
     average: float
     #: ``(process, cpu-share %)`` for migratable local processes
@@ -160,55 +127,12 @@ class ClusterModel:
         default_factory=dict
     )
     #: Fresh peers that are asleep, sorted by node name.
-    asleep_peers: list[NodeView] = dataclass_field(default_factory=list)
+    asleep_peers: list[LoadInfo] = dataclass_field(default_factory=list)
 
     @property
     def overload(self) -> float:
         """Local excess over the cluster average (may be negative)."""
         return self.local.cpu_percent - self.average
-
-    @classmethod
-    def lazy(
-        cls, thunks: dict[str, Callable[[], Any]], **fields: Any
-    ) -> "ClusterModel":
-        """A model whose fields named in ``thunks`` are computed by them
-        on first read; ``fields`` gives every other field."""
-        model = cls.__new__(cls)
-        vars(model).update(fields)
-        model._thunks = thunks
-        return model
-
-    def force(self) -> None:
-        """Compute every field not read yet, so that later changes to
-        the node and its peers cannot reach this snapshot."""
-        for name in list(getattr(self, "_thunks", ())):
-            getattr(self, name)
-
-
-class _Lazy:
-    """A :class:`ClusterModel` field computed on first read.
-
-    A non-data descriptor: the computed value goes into the instance
-    dict, which shadows the descriptor from then on — as does the value
-    a directly constructed model is given.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __get__(self, model, owner=None):
-        if model is None:
-            return self
-        value = model._thunks.pop(self.name)()
-        vars(model)[self.name] = value
-        return value
-
-
-# Installed after the dataclass is built, which would otherwise take a
-# class attribute for the field's default.
-for _name in ("peers", "stale_peers", "asleep_peers", "shares", "history"):
-    setattr(ClusterModel, _name, _Lazy(_name))
-del _name
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +194,9 @@ class MigrationPlan:
 class Strategy:
     """Decision strategy protocol: model in, ranked plan out.
 
-    Implementations must be deterministic given the model and their own
-    (explicitly seeded) rng, and must not perform side effects — the
-    planner owns execution.  Duck typing suffices; subclassing this
-    base is a convenience, not a requirement (a strategy without
-    :meth:`may_act` is consulted every round).
+    Implementations subclass this base, must be deterministic given the
+    model and their own (explicitly seeded) rng, and must not perform
+    side effects — the planner owns execution.
     """
 
     name = "?"
@@ -349,11 +271,11 @@ class PaperThresholdStrategy(Strategy):
             )
             if proc is None:
                 return plan
-            candidates = self.location.choose(local, average, model.peer_infos)
+            candidates = self.location.choose(local, average, model.peers)
             plan.actions.append(
                 MigrationAction(
                     proc,
-                    model.local.name,
+                    model.local.node_name,
                     tuple(candidates),
                     score=target_diff,
                 )
@@ -367,7 +289,7 @@ class PaperThresholdStrategy(Strategy):
             proc = self.selection.choose(max(remaining, cfg.min_share), avail)
             if proc is None:
                 return plan
-            candidates = self.location.choose(local, average, model.peer_infos)
+            candidates = self.location.choose(local, average, model.peers)
             if not candidates:
                 return plan
             share = next(s for p, s in avail if p is proc)
@@ -375,7 +297,7 @@ class PaperThresholdStrategy(Strategy):
             avail = [(p, s) for p, s in avail if p is not proc]
             plan.actions.append(
                 MigrationAction(
-                    proc, model.local.name, tuple(candidates), score=share
+                    proc, model.local.node_name, tuple(candidates), score=share
                 )
             )
         return plan
@@ -417,12 +339,12 @@ class BalanceToAverageStrategy(Strategy):
         # Receivers: rankable peers with room below the average.
         projected = {
             info.local_ip: info.cpu_percent
-            for info in model.peer_infos
+            for info in model.peers
             if average - info.cpu_percent >= cfg.receiver_margin
         }
         if not projected:
             return plan
-        by_ip = {info.local_ip: info for info in model.peer_infos}
+        by_ip = {info.local_ip: info for info in model.peers}
         chosen: list[tuple["SimProcess", float]] = []
         for proc, share in sorted(
             model.shares, key=lambda ps: ps[1], reverse=True
@@ -450,7 +372,7 @@ class BalanceToAverageStrategy(Strategy):
             projected[candidates[0].local_ip] += share
             plan.actions.append(
                 MigrationAction(
-                    proc, model.local.name, candidates, score=share
+                    proc, model.local.node_name, candidates, score=share
                 )
             )
         plan.actions.sort(key=lambda a: a.score, reverse=True)
@@ -595,15 +517,14 @@ class CycleAwareStrategy(Strategy):
 
     def may_act(self, local: float, average: float) -> bool:
         # Without inner actions there is nothing to re-time.
-        may_act = getattr(self.inner, "may_act", None)
-        return may_act is None or may_act(local, average)
+        return self.inner.may_act(local, average)
 
     def plan(self, model: ClusterModel) -> MigrationPlan:
         inner = self.inner.plan(model)
         plan = MigrationPlan(self.name, model.now, inner.actions)
         if not plan.actions or self._urgent(model):
             return plan
-        samples = model.history.get(model.local.name, ())
+        samples = model.history.get(model.local.node_name, ())
         trough = self.forecast_trough(samples, model.now)
         if trough is not None:
             for action in plan.actions:
@@ -625,7 +546,7 @@ class CycleAwareStrategy(Strategy):
 
     def cycle_mean(self, model: ClusterModel) -> float:
         """Local load averaged over the last detected period."""
-        return self.node_mean(model, model.local.name, model.local.cpu_percent)
+        return self.node_mean(model, model.local.node_name, model.local.cpu_percent)
 
     def revalidate(self, action: MigrationAction, model: ClusterModel) -> bool:
         # A deferred trigger must still hold *for the cycle mean*, not
@@ -705,8 +626,8 @@ class ConsolidateStrategy(Strategy):
         local = model.local
         hot = any(p.cpu_percent > self.wake_watermark for p in model.peers)
         if local.asleep:
-            sleepers = [local.name] + [p.name for p in model.asleep_peers]
-            if hot and min(sleepers) == local.name:
+            sleepers = [local.node_name] + [p.node_name for p in model.asleep_peers]
+            if hot and min(sleepers) == local.node_name:
                 plan.power = "wake"
             return plan
         if (
@@ -718,16 +639,16 @@ class ConsolidateStrategy(Strategy):
             return plan
         awake = [local, *model.peers]
         if not model.peers or min(
-            awake, key=lambda v: (v.cpu_percent, v.name)
+            awake, key=lambda i: (i.cpu_percent, i.node_name)
         ) is not local:
             return plan
         if local.nprocs == 0:
             plan.power = "sleep"
             return plan
-        projected = {info.local_ip: info.cpu_percent for info in model.peer_infos}
+        projected = {info.local_ip: info.cpu_percent for info in model.peers}
         for proc, share in model.shares:
             ranked = sorted(
-                model.peer_infos,
+                model.peers,
                 key=lambda i: (-projected[i.local_ip], i.node_name),
             )
             candidates = tuple(
@@ -737,7 +658,7 @@ class ConsolidateStrategy(Strategy):
                 continue
             projected[candidates[0].local_ip] += share
             plan.actions.append(
-                MigrationAction(proc, local.name, candidates, score=share)
+                MigrationAction(proc, local.node_name, candidates, score=share)
             )
         return plan
 
@@ -815,9 +736,9 @@ def _make_consolidate(config: "ConductorConfig", rng, **params) -> Strategy:
 class Planner:
     """Executes strategy plans through the conductor's machinery.
 
-    One per conductor.  Each balance round the strategy can act in (see
-    :meth:`Strategy.may_act`), it snapshots a :class:`ClusterModel`,
-    consults the strategy, and walks the plan's
+    One per conductor.  Each balance round that is not :meth:`quiet`,
+    it snapshots a :class:`ClusterModel`, consults the strategy (or,
+    with actions parked, runs those that are due), and walks the plan's
     actions in rank order: due actions run through the conductor's
     two-phase reserve / detector veto / retry path, future-dated
     actions are parked until ``not_before``, and actions that race
@@ -876,69 +797,36 @@ class Planner:
 
     # -- model building ----------------------------------------------------
     def build_model(self, local: float, average: float) -> ClusterModel:
-        """Snapshot the cluster as this round's strategies may see it.
-
-        The peer views, process shares and history copy are built on
-        first read: a quiet round reads none of them.  The caller
-        :meth:`~ClusterModel.force`\\ s the model before it yields.
-        """
+        """Snapshot the cluster as this round's strategy sees it."""
         cond = self.cond
+        host = cond.host
         now = self.env.now
-        fresh_infos, stale_infos = cond.peers.partition_fresh(
-            now, self.staleness
-        )
-        self.stale_skipped_total += len(stale_infos)
-        awake_infos = [i for i in fresh_infos if not i.asleep]
-        health = cond.detector.state
-
-        def views(infos: list[LoadInfo]) -> Callable[[], list[NodeView]]:
-            return lambda: [
-                NodeView(
-                    name=info.node_name,
-                    ip=info.local_ip,
-                    cpu_percent=info.cpu_percent,
-                    nprocs=info.nprocs,
-                    heartbeat_age=info.age(now),
-                    health=health(info.local_ip),
-                    asleep=info.asleep,
-                )
-                for info in infos
-            ]
-
-        local_view = NodeView(
-            name=cond.host.name,
-            ip=cond.host.local_ip,
-            cpu_percent=local,
-            nprocs=len(cond.managed),
-            heartbeat_age=0.0,
-            health=ALIVE,
-            is_self=True,
-            asleep=cond.asleep,
-        )
+        fresh = [i for i in cond.peers.peers() if i.age(now) <= self.staleness]
         sequential = cond.config.admission_capacity == 1
-        return ClusterModel.lazy(
-            {
-                "peers": views(awake_infos),
-                "stale_peers": views(stale_infos),
-                "asleep_peers": views([i for i in fresh_infos if i.asleep]),
-                "shares": lambda: cond.monitor.process_shares(
-                    [
-                        p
-                        for p in cond.managed
-                        if p not in cond._outbound and not p.stranded_pages
-                    ]
-                ),
-                "history": lambda: {
-                    k: tuple(v) for k, v in self._history.items()
-                },
-            },
+        return ClusterModel(
             now=now,
-            local=local_view,
-            peer_infos=awake_infos,
+            local=LoadInfo(
+                node_name=host.name,
+                local_ip=host.local_ip,
+                cpu_percent=local,
+                nprocs=len(cond.managed),
+                timestamp=now,
+                asleep=cond.asleep,
+            ),
+            peers=[i for i in fresh if not i.asleep],
             average=average,
+            shares=cond.monitor.process_shares(
+                [
+                    p
+                    for p in cond.managed
+                    if p not in cond._outbound and not p.stranded_pages
+                ]
+            ),
             max_actions=1 if sequential else cond.admission.available,
             sequential=sequential,
             config=cond.config.policies,
+            history={k: tuple(v) for k, v in self._history.items()},
+            asleep_peers=[i for i in fresh if i.asleep],
         )
 
     def _record_history(self, local: float) -> None:
@@ -953,24 +841,21 @@ class Planner:
     def round(self):
         """One balance round (generator; the conductor yields from it).
 
-        When nothing is deferred and the strategy's
-        :meth:`~Strategy.may_act` says it cannot act, the round is
-        settled without a model: it counts the peers the staleness guard
-        would have skipped, as :meth:`build_model` does, and ends.
+        Every round samples the load history and, unless the node is
+        busy, calming down or alone, counts the peers the staleness
+        guard skips.  A :meth:`quiet` round ends there, without a model.
         """
         cond = self.cond
         local = cond.monitor.current_load()
         self._record_history(local)
         if cond.admission.busy or cond.admission.calming or not cond.peers:
             return
+        self.stale_skipped_total += cond.peers.count_stale(
+            self.env.now, self.staleness
+        )
         average = cond.peers.cluster_average(local)
-        if not self._deferred:
-            may_act = getattr(self.strategy, "may_act", None)
-            if may_act is not None and not may_act(local, average):
-                self.stale_skipped_total += cond.peers.count_stale(
-                    self.env.now, self.staleness
-                )
-                return
+        if self.quiet(local, average):
+            return
         model = self.build_model(local, average)
         if self._deferred:
             # A deferred plan is still in flight: execute what has come
@@ -985,13 +870,19 @@ class Planner:
         self.plans_total += 1
         self.actions_total += len(plan.actions)
         self._trace_plan(plan)
-        # Executing changes shares and detector verdicts: freeze the
-        # snapshot first.
-        model.force()
         if model.sequential:
             yield from self._execute_sequential(plan.actions, model)
         else:
             self._launch_batch(plan.actions)
+
+    def quiet(self, local: float, average: float) -> bool:
+        """Will this round read no model?  With actions parked, when
+        none is due yet; otherwise when the strategy's
+        :meth:`~Strategy.may_act` gate is closed."""
+        if self._deferred:
+            now = self.env.now
+            return all(a.not_before > now for a in self._deferred)
+        return not self.strategy.may_act(local, average)
 
     # -- execution ---------------------------------------------------------
     def _execute_sequential(
@@ -1049,14 +940,12 @@ class Planner:
             cond._outbound.discard(action.proc)
 
     def _run_due(self, model: ClusterModel):
-        """Execute parked actions whose ``not_before`` has arrived."""
+        """Execute parked actions whose ``not_before`` has arrived.
+
+        Each is judged against ``model``, taken before the first of
+        them migrated."""
         cond = self.cond
         due = [a for a in self._deferred if a.not_before <= model.now]
-        if not due:
-            return
-        # Revalidation after the first migration still judges the
-        # round's snapshot.
-        model.force()
         self._deferred = [a for a in self._deferred if a.not_before > model.now]
         for action in due:
             ok, reason = self._still_valid(action, model)
@@ -1069,7 +958,7 @@ class Planner:
             # Re-rank for execution time (strategy hook), then drop
             # dead/stale candidates that fell out of the model while
             # the action was parked.
-            live = {info.local_ip for info in model.peer_infos}
+            live = {info.local_ip for info in model.peers}
             candidates = [
                 c
                 for c in self.strategy.rerank(action, model)
@@ -1091,7 +980,7 @@ class Planner:
             return False, "in-flight"
         if action.proc.stranded_pages:
             return False, "stranded"
-        live = {info.local_ip for info in model.peer_infos}
+        live = {info.local_ip for info in model.peers}
         if not any(c.local_ip in live for c in action.candidates):
             return False, "no-candidates"
         if not self.strategy.revalidate(action, model):

@@ -377,24 +377,19 @@ def render_plan_report(
             )
         )
 
-    # Pair each action with the latest fate recorded for its pid after
-    # the action was planned (outcome, defer or drop).
-    fates = [
-        ev
-        for ev in plan_events
-        if ev.name in (PLAN_OUTCOME, PLAN_DEFER, PLAN_DROP)
-    ]
+    # Each fate record (outcome, defer or drop) names its action's ref
+    # as ``caused_by``; an action's latest fate wins.
+    fates: dict[int, str] = {}
+    for ev in plan_events:
+        if ev.name == PLAN_OUTCOME:
+            fates[ev.caused_by] = str(ev.fields.get("outcome", "?"))
+        elif ev.name == PLAN_DEFER:
+            fates[ev.caused_by] = "deferred"
+        elif ev.name == PLAN_DROP:
+            fates[ev.caused_by] = f"dropped ({ev.fields.get('reason', '?')})"
 
     def fate_of(action: TraceEvent) -> str:
-        pid = action.fields.get("pid")
-        for ev in fates:
-            if ev.fields.get("pid") == pid and ev.time >= action.time:
-                if ev.name == PLAN_OUTCOME:
-                    return str(ev.fields.get("outcome", "?"))
-                return "deferred" if ev.name == PLAN_DEFER else (
-                    f"dropped ({ev.fields.get('reason', '?')})"
-                )
-        return "pending"
+        return fates.get(action.ref, "pending") if action.ref else "pending"
 
     actions = [ev for ev in plan_events if ev.name == PLAN_ACTION]
     if actions:

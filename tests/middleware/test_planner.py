@@ -3,23 +3,19 @@ staleness guard, deferred actions, and the edge cases of the decision
 plane (single node, all peers stale, zero-action plans, capacity races).
 """
 
-import dataclasses
-
-import pytest
-
 from repro.cluster import build_cluster
 from repro.core import LiveMigrationConfig
 from repro.middleware import (
     CONDUCTOR_PORT,
     ClusterModel,
     ConductorConfig,
+    LoadInfo,
     MigrationAction,
     MigrationPlan,
-    NodeView,
     PolicyConfig,
     Strategy,
-    install_conductor,
 )
+from repro.middleware.strategy import Planner
 from repro.testing import run_for
 
 
@@ -126,6 +122,31 @@ class TestStalenessGuard:
         cluster, conductors = build(plan_staleness=2.0)
         assert conductors[0].planner.staleness == 2.0
 
+    def test_model_ranks_only_fresh_awake_peers(self):
+        cluster, conductors = build(n_nodes=4, plan_staleness=1.5)
+        overload_node1(cluster, conductors)
+        conductors[2].asleep = True
+        run_for(cluster, 3.0)
+        # node4's conductor dies: its last heartbeat ages past the
+        # window before it is pruned.
+        cluster.nodes[3].control.unregister(CONDUCTOR_PORT)
+        conductors[3].enabled = False
+        conductors[3].peers.clear()
+        run_for(cluster, 3.5)
+        cond = conductors[0]
+        local = cond.monitor.current_load()
+        average = cond.peers.cluster_average(local)
+        model = cond.planner.build_model(local, average)
+        assert model == eager_model(cond.planner, local, average)
+        assert [i.node_name for i in model.peers] == ["node2"]
+        assert [i.node_name for i in model.asleep_peers] == ["node3"]
+        assert model.local.node_name == "node1"
+        assert model.shares and model.history["node1"]
+        # node4 is still known, never ranked, and counted.
+        assert cond.peers.get(cluster.nodes[3].local_ip) is not None
+        assert cond.peers.count_stale(model.now, cond.planner.staleness) == 1
+        assert cond.planner.stale_skipped_total > 0
+
     def test_fresh_peers_still_ranked(self):
         cluster, conductors = build(plan_staleness=4.0)
         overload_node1(cluster, conductors)
@@ -151,8 +172,8 @@ class DeferredStrategy(Strategy):
             plan.actions.append(
                 MigrationAction(
                     proc,
-                    model.local.name,
-                    tuple(model.peer_infos),
+                    model.local.node_name,
+                    tuple(model.peers),
                     score=share,
                     not_before=model.now + self.delay,
                 )
@@ -163,6 +184,32 @@ class DeferredStrategy(Strategy):
 
     def revalidate(self, action, model):
         return self.revalidate_ok
+
+
+class StaggeredStrategy(Strategy):
+    """Plans two actions once: one due soon, one far in the future."""
+
+    name = "test-staggered"
+
+    def __init__(self):
+        self.planned = False
+
+    def plan(self, model):
+        plan = MigrationPlan(self.name, model.now)
+        if self.planned or model.overload < 5.0:
+            return plan
+        self.planned = True
+        for (proc, share), delay in zip(model.shares, (2.0, 1000.0)):
+            plan.actions.append(
+                MigrationAction(
+                    proc,
+                    model.local.node_name,
+                    tuple(model.peers),
+                    score=share,
+                    not_before=model.now + delay,
+                )
+            )
+        return plan
 
 
 class TestDeferredActions:
@@ -190,6 +237,39 @@ class TestDeferredActions:
         assert planner.executed_total == 0
         assert len(planner.pending) >= 1
         assert conductors[0].migrations_initiated == 0
+
+    def test_parked_rounds_build_no_model(self, monkeypatch):
+        cluster, conductors = build(plan_staleness=1e-6)
+        planner = conductors[0].planner
+        planner.strategy = DeferredStrategy(delay=1000.0)
+        overload_node1(cluster, conductors)
+        run_for(cluster, 3.0)
+        assert len(planner.pending) == 1
+        builds = []
+        build_model = Planner.build_model
+
+        def counting_build(p, *args):
+            builds.append(p)
+            return build_model(p, *args)
+
+        monkeypatch.setattr(Planner, "build_model", counting_build)
+        stale = planner.stale_skipped_total
+        run_for(cluster, 10.0)
+        # Ten rounds with the action parked and not due: each samples
+        # the history and counts both (stale) peers, none builds a model.
+        assert planner not in builds
+        assert planner.stale_skipped_total >= stale + 2 * 9
+        assert len(planner.pending) == 1
+
+    def test_a_due_action_runs_beside_one_still_parked(self):
+        cluster, conductors = build()
+        planner = conductors[0].planner
+        planner.strategy = StaggeredStrategy()
+        overload_node1(cluster, conductors)
+        run_for(cluster, 8.0)
+        assert planner.deferred_total == 2
+        assert planner.executed_total + planner.retried_total == 1
+        assert len(planner.pending) == 1
 
     def test_revalidation_failure_drops_action(self):
         cluster, conductors, planner = self.install(
@@ -221,7 +301,7 @@ class MultiActionStrategy(Strategy):
         for proc, share in model.shares:
             plan.actions.append(
                 MigrationAction(
-                    proc, model.local.name, tuple(model.peer_infos), score=share
+                    proc, model.local.node_name, tuple(model.peers), score=share
                 )
             )
         return plan
@@ -253,38 +333,17 @@ class TestAdmissionRace:
 
 
 def eager_model(planner, local, average):
-    """The model as an eager build takes it: every field computed now."""
+    """The round's model, built by hand from the live state."""
     cond = planner.cond
     now = cond.env.now
-    fresh, stale = cond.peers.partition_fresh(now, planner.staleness)
-
-    def view(info):
-        return NodeView(
-            name=info.node_name,
-            ip=info.local_ip,
-            cpu_percent=info.cpu_percent,
-            nprocs=info.nprocs,
-            heartbeat_age=info.age(now),
-            health=cond.detector.state(info.local_ip),
-            asleep=info.asleep,
-        )
-
-    awake = [i for i in fresh if not i.asleep]
+    fresh = [i for i in cond.peers.peers() if i.age(now) <= planner.staleness]
     sequential = cond.config.admission_capacity == 1
     return ClusterModel(
         now=now,
-        local=NodeView(
-            name=cond.host.name,
-            ip=cond.host.local_ip,
-            cpu_percent=local,
-            nprocs=len(cond.managed),
-            heartbeat_age=0.0,
-            is_self=True,
-            asleep=cond.asleep,
+        local=LoadInfo(
+            cond.host.name, cond.host.local_ip, local, len(cond.managed), now, cond.asleep
         ),
-        peers=[view(i) for i in awake],
-        stale_peers=[view(i) for i in stale],
-        peer_infos=awake,
+        peers=[i for i in fresh if not i.asleep],
         average=average,
         shares=cond.monitor.process_shares(
             [p for p in cond.managed if p not in cond._outbound]
@@ -293,7 +352,7 @@ def eager_model(planner, local, average):
         sequential=sequential,
         config=cond.config.policies,
         history={k: tuple(v) for k, v in planner._history.items()},
-        asleep_peers=[view(i) for i in fresh if i.asleep],
+        asleep_peers=[i for i in fresh if i.asleep],
     )
 
 
@@ -320,8 +379,8 @@ class TwoDeferredStrategy(Strategy):
             plan.actions.append(
                 MigrationAction(
                     proc,
-                    model.local.name,
-                    tuple(model.peer_infos),
+                    model.local.node_name,
+                    tuple(model.peers),
                     score=share,
                     not_before=model.now + 2.0,
                 )
@@ -332,8 +391,7 @@ class TwoDeferredStrategy(Strategy):
         self.calls += 1
         cond = self.cond
         if self.calls == 1:
-            # The round has not yielded yet: take the live state, and
-            # leave every lazy field of the model unread.
+            # The round has not yielded yet: take the live state.
             self.first = action.proc
             self.live = eager_model(cond.planner, model.local.cpu_percent, model.average)
         else:
@@ -349,12 +407,13 @@ class TwoDeferredStrategy(Strategy):
 
 
 class TestLazyModel:
+    """What a round's model costs and what it holds."""
+
     def test_quiet_round_builds_no_peer_views_or_shares(self, monkeypatch):
-        import repro.middleware.strategy as strategy_module
         from repro.middleware.monitor import LoadMonitor
 
-        counts = {"builds": 0, "shares": 0, "peer_views": 0}
-        build_model = strategy_module.Planner.build_model
+        counts = {"builds": 0, "shares": 0}
+        build_model = Planner.build_model
         process_shares = LoadMonitor.process_shares
 
         def counting_build(planner, *args):
@@ -365,15 +424,8 @@ class TestLazyModel:
             counts["shares"] += 1
             return process_shares(monitor, procs)
 
-        class CountingView(NodeView):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                if not self.is_self:
-                    counts["peer_views"] += 1
-
-        monkeypatch.setattr(strategy_module.Planner, "build_model", counting_build)
+        monkeypatch.setattr(Planner, "build_model", counting_build)
         monkeypatch.setattr(LoadMonitor, "process_shares", counting_shares)
-        monkeypatch.setattr(strategy_module, "NodeView", CountingView)
         cluster, conductors = build()
         for i, node in enumerate(cluster.nodes):
             conductors[i].manage(spawn_worker(node, 1.0, name=f"zs{i}"))
@@ -383,49 +435,7 @@ class TestLazyModel:
         assert all(len(c.planner._history[c.host.name]) > 10 for c in conductors)
         assert counts["builds"] == 0
         assert counts["shares"] == 0
-        assert counts["peer_views"] == 0
         assert all(c.planner.plans_total == 0 for c in conductors)
-
-    def test_lazy_fields_equal_an_eager_build(self):
-        cluster, conductors = build(n_nodes=4, plan_staleness=1.5)
-        overload_node1(cluster, conductors)
-        conductors[2].asleep = True
-        run_for(cluster, 3.0)
-        # node4's conductor dies: suspect, then stale, before it is pruned.
-        cluster.nodes[3].control.unregister(CONDUCTOR_PORT)
-        conductors[3].enabled = False
-        conductors[3].peers.clear()
-        run_for(cluster, 3.5)
-        cond = conductors[0]
-        local = cond.monitor.current_load()
-        average = cond.peers.cluster_average(local)
-        lazy = cond.planner.build_model(local, average)
-        eager = eager_model(cond.planner, local, average)
-        for f in dataclasses.fields(ClusterModel):
-            assert getattr(lazy, f.name) == getattr(eager, f.name), f.name
-        assert lazy == eager
-        # The snapshot is not trivially empty.
-        assert [v.name for v in eager.stale_peers] == ["node4"]
-        assert eager.stale_peers[0].health == "suspect"
-        assert [v.name for v in eager.asleep_peers] == ["node3"]
-        assert [v.name for v in eager.peers] == ["node2"]
-        assert eager.shares and eager.history["node1"]
-
-    def test_force_computes_every_unread_field(self):
-        cluster, conductors = build()
-        overload_node1(cluster, conductors)
-        run_for(cluster, 3.0)
-        cond = conductors[0]
-        local = cond.monitor.current_load()
-        model = cond.planner.build_model(local, cond.peers.cluster_average(local))
-        lazy_fields = {"peers", "stale_peers", "asleep_peers", "shares", "history"}
-        assert lazy_fields.isdisjoint(vars(model))
-        shares = model.shares
-        model.force()
-        assert lazy_fields <= vars(model).keys()
-        assert model.shares is shares
-        # A directly constructed model has nothing to force.
-        eager_model(cond.planner, local, model.average).force()
 
     def test_deferred_round_judges_the_pre_yield_snapshot(self):
         cluster, conductors = build(admission_capacity=2)
@@ -439,7 +449,7 @@ class TestLazyModel:
         # The first action migrated (the round yielded into
         # _try_migrate), yet the second still sees the round's snapshot:
         # the migrated process with its share, the round's history and
-        # peer views.
+        # peers.
         assert not seen["first_managed"]
         assert strategy.first in procs
         assert seen["shares"] == strategy.live.shares

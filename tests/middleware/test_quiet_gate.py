@@ -1,9 +1,11 @@
-"""The planner's quiet gate: ``Strategy.may_act`` settles a round before
-any model is built, and may say no only where ``plan()`` would be empty.
+"""The planner's quiet rounds: a closed ``Strategy.may_act`` gate, or
+parked actions none of which is due, settle a round before any model is
+built.  A gate may say no only where ``plan()`` would be empty.
 
 Two oracles: each registered strategy's own ``plan()`` on a fully built
 model (a property over loads, peers, shares and history), and whole
-campaign worlds run again under a test-only planner that never gates.
+campaign worlds run again under a test-only planner that finds no round
+quiet.
 """
 
 import numpy as np
@@ -15,7 +17,6 @@ from repro.middleware import (
     ClusterModel,
     ConductorConfig,
     LoadInfo,
-    NodeView,
     PolicyConfig,
     make_strategy,
 )
@@ -87,41 +88,19 @@ def rounds(draw):
     return local, average, peers, shares, history, draw(st.booleans()), draw(st.booleans())
 
 
-def forced_model(local, average, peers, shares, history, sequential, asleep):
-    """A model with every field computed, as the planner would force it."""
-    awake = [i for i in peers if not i.asleep]
-
-    def view(info):
-        return NodeView(
-            name=info.node_name,
-            ip=info.local_ip,
-            cpu_percent=info.cpu_percent,
-            nprocs=info.nprocs,
-            heartbeat_age=info.age(NOW),
-            asleep=info.asleep,
-        )
-
+def model_of_round(local, average, peers, shares, history, sequential, asleep):
+    """The model the planner would build for a drawn round."""
     return ClusterModel(
         now=NOW,
-        local=NodeView(
-            name="node1",
-            ip=IPAddr("192.168.0.1"),
-            cpu_percent=local,
-            nprocs=len(shares),
-            heartbeat_age=0.0,
-            is_self=True,
-            asleep=asleep,
-        ),
-        peers=[view(i) for i in awake],
-        stale_peers=[],
-        peer_infos=awake,
+        local=LoadInfo("node1", IPAddr("192.168.0.1"), local, len(shares), NOW, asleep),
+        peers=[i for i in peers if not i.asleep],
         average=average,
         shares=list(shares),
         max_actions=1 if sequential else 3,
         sequential=sequential,
         config=PolicyConfig(),
         history=history,
-        asleep_peers=[view(i) for i in peers if i.asleep],
+        asleep_peers=[i for i in peers if i.asleep],
     )
 
 
@@ -148,7 +127,7 @@ def test_a_closed_gate_means_an_empty_plan(name, case):
         return
     rng_state = rng.bit_generator.state
     state = dict(vars(strategy))
-    plan = strategy.plan(forced_model(*case))
+    plan = strategy.plan(model_of_round(*case))
     assert plan.actions == []
     assert plan.power is None
     assert rng.bit_generator.state == rng_state
@@ -165,24 +144,15 @@ def test_the_gate_opens_where_plans_act(name):
 
 
 # ---------------------------------------------------------------------------
-# Whole worlds against a planner that never gates
+# Whole worlds against a planner that finds no round quiet
 # ---------------------------------------------------------------------------
-class Ungated:
-    """A strategy without its gate: the planner consults ``plan()``
-    every round, as it did before the gate existed."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def __getattr__(self, name):
-        if name == "may_act":
-            raise AttributeError(name)
-        return getattr(self.inner, name)
-
-
 class UngatedPlanner(Planner):
-    def __init__(self, conductor, strategy):
-        super().__init__(conductor, Ungated(strategy))
+    """A planner that finds no round quiet: every round builds a model
+    and consults ``plan()`` whatever the strategy's gate says or, with
+    actions parked, runs the due ones even when none is due."""
+
+    def quiet(self, local, average):
+        return False
 
 
 def run_world(campaign):
@@ -227,6 +197,9 @@ def test_gated_world_equals_an_ungated_one(monkeypatch, name, strategy):
     ungated = run_world(campaign)
     assert gated == ungated
     assert gated["migrations"]
+    if name == "diurnal-cycle-aware":
+        # Parked actions: their rounds are quiet until one comes due.
+        assert any(deferred for _, _, _, deferred, _ in gated["counters"])
     assert all(len(h) > 1 for h in gated["history"])
 
 

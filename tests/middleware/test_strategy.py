@@ -1,7 +1,7 @@
 """Unit tests for the decision strategies (pure: model in, plan out)."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -15,7 +15,6 @@ from repro.middleware import (
     CycleAwareStrategy,
     LoadInfo,
     MigrationAction,
-    NodeView,
     PaperThresholdStrategy,
     PolicyConfig,
     make_strategy,
@@ -56,29 +55,10 @@ def model_of(
     config = config or PolicyConfig()
     infos = list(peers)
     average = (sum(p.cpu_percent for p in infos) + local_cpu) / (len(infos) + 1)
-    views = [
-        NodeView(
-            name=p.node_name,
-            ip=p.local_ip,
-            cpu_percent=p.cpu_percent,
-            nprocs=p.nprocs,
-            heartbeat_age=now - p.timestamp,
-        )
-        for p in infos
-    ]
     return ClusterModel(
         now=now,
-        local=NodeView(
-            name="node1",
-            ip=IPAddr("192.168.0.1"),
-            cpu_percent=local_cpu,
-            nprocs=len(shares),
-            heartbeat_age=0.0,
-            is_self=True,
-        ),
-        peers=views,
-        stale_peers=[],
-        peer_infos=infos,
+        local=peer("node1", 1, local_cpu, nprocs=len(shares), ts=now),
+        peers=infos,
         average=average,
         shares=list(shares),
         max_actions=max_actions,
@@ -86,6 +66,14 @@ def model_of(
         config=config,
         history=history or {},
     )
+
+
+class TestClusterModel:
+    def test_fields_cannot_be_assigned(self):
+        model = model_of(50.0, [peer("node2", 2, 20.0)], [(FakeProc(1), 10.0)])
+        with pytest.raises(FrozenInstanceError):
+            model.average = 0.0
+        assert model.average == 35.0
 
 
 class TestPaperThresholdStrategy:
@@ -281,7 +269,7 @@ class TestConsolidateStrategy:
         hot = model_of(0.0, [peer("node2", 2, 90.0)], [])
         asleep = replace(hot, local=replace(hot.local, asleep=True))
         assert self.plan(asleep).power == "wake"
-        earlier = NodeView("node0", IPAddr("192.168.0.9"), 0.0, 0, 0.0, asleep=True)
+        earlier = replace(peer("node0", 9, 0.0, nprocs=0), asleep=True)
         assert self.plan(replace(asleep, asleep_peers=[earlier])).power is None
         calm = model_of(0.0, [peer("node2", 2, 50.0)], [])
         assert self.plan(replace(calm, local=replace(calm.local, asleep=True))).power is None

@@ -14,6 +14,7 @@ from repro.obs.export import (
     render_plan_report,
     write_jsonl,
 )
+from repro.obs.tracer import TraceEvent
 from repro.testing import run_for
 
 
@@ -66,6 +67,29 @@ class TestRenderPlanReport:
 
     def test_no_plan_records(self):
         assert "no plan.*" in render_plan_report([])
+
+    def test_an_action_reads_its_own_latest_fate(self):
+        # Two deferred actions for one process, as cycle-aware plans
+        # them: the first is dropped at its trough, the second executes.
+        def ev(t, name, **fields):
+            caused_by, ref = fields.pop("caused_by", None), fields.pop("ref", None)
+            fields.update(node="node1", strategy="cycle-aware", pid=7)
+            return TraceEvent(t, name, fields=fields, caused_by=caused_by, ref=ref)
+
+        events = [
+            ev(1.0, "plan.emitted", ref=1, actions=1),
+            ev(1.0, "plan.action", caused_by=1, ref=2, proc="zs", score=14.0),
+            ev(1.0, "plan.defer", caused_by=2, until=5.0),
+            ev(5.0, "plan.drop", caused_by=2, reason="revalidated"),
+            ev(6.0, "plan.emitted", ref=3, actions=1),
+            ev(6.0, "plan.action", caused_by=3, ref=4, proc="zs", score=13.0),
+            ev(6.0, "plan.defer", caused_by=4, until=9.0),
+            ev(9.0, "plan.outcome", caused_by=4, dest="node2", outcome="executed"),
+        ]
+        report = render_plan_report(events)
+        assert "dropped (revalidated)" in report
+        assert "dropped=1 executed=1" in report
+        assert "deferred" not in report
 
 
 class TestTraceCli:
