@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .des import Environment, RngRegistry
+from .des import Cohort, Environment, RngRegistry
 from .net import BroadcastRouter, IPAddr, Link, Switch
 from .oskern import CostModel, Host
 
@@ -170,10 +170,13 @@ class Cluster:
         existing daemon).
         """
         from .middleware import install_conductor
+        from .middleware.conductor import MONITOR_INTERVAL
 
+        # The new conductors' load monitors sample in one cohort.
         scan_ips = [n.local_ip for n in self.nodes]
+        monitors = Cohort(self.env, MONITOR_INTERVAL)
         return [
-            install_conductor(node, scan_ips, self.node_by_local_ip, config)
+            install_conductor(node, scan_ips, self.node_by_local_ip, config, monitors)
             for node in self.nodes
         ]
 

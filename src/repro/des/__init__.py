@@ -1,11 +1,13 @@
 """Discrete-event simulation kernel (substrate).
 
 A compact, dependency-free simulation core in the style of SimPy:
-generator-based processes, an event heap, timeouts and an all-of
-condition, plus reproducible named RNG streams and time-series
-recorders used by the experiment harnesses.
+generator-based processes, an event heap, timeouts, an all-of
+condition and lockstep cohorts of periodic loops, plus reproducible
+named RNG streams and time-series recorders used by the experiment
+harnesses.
 """
 
+from .cohort import Cohort
 from .engine import Environment, StopSimulation
 from .events import AllOf, Event, Timeout
 from .monitor import SeriesBundle, TimeSeries
@@ -19,6 +21,7 @@ __all__ = [
     "Timeout",
     "AllOf",
     "Process",
+    "Cohort",
     "RngRegistry",
     "TimeSeries",
     "SeriesBundle",

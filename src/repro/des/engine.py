@@ -47,10 +47,10 @@ class Environment:
         #: Latest time of any entry kept off the heap: a run that empties
         #: the heap ends there, as it would have with those entries on it.
         self._tail = self._now
-        #: Processes whose generator has not finished, in creation order
-        #: (a dict used as an ordered set), so :meth:`close` can close
-        #: the suspended ones deterministically.
-        self._live: dict[Process, None] = {}
+        #: The generator of every process (and every cohort member, keyed
+        #: by its generator) that has not finished, in creation order, so
+        #: :meth:`close` can close the suspended ones deterministically.
+        self._live: dict[Any, Generator] = {}
         self._closed = False
         #: Structured tracer (see :mod:`repro.obs`).  The default is the
         #: shared no-op tracer; call :meth:`enable_tracing` to record.
@@ -190,10 +190,10 @@ class Environment:
         self._queue.clear()
         live = self._live
         while live:  # a ``finally`` block may spawn a process
-            procs = list(live)
+            generators = list(live.values())
             live.clear()
-            for proc in procs:
-                proc._generator.close()
+            for generator in generators:
+                generator.close()
         self._queue.clear()
         self._eid = processed
         self._at = self._passed()[:3]

@@ -35,7 +35,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        env._live[self] = None
+        env._live[self] = generator
 
         # Kick off the generator via an immediately-scheduled init event.
         init = Event(env)
@@ -43,6 +43,25 @@ class Process(Event):
         init._value = None
         init.callbacks.append(self._resume)
         env.schedule(init, priority=URGENT)
+
+    @classmethod
+    def adopt(
+        cls, env: "Environment", generator: Generator, name: str, target: Event
+    ) -> "Process":
+        """A process for a generator that has already run elsewhere and
+        last yielded ``target``: no init event, it waits on ``target``
+        exactly where a process would have registered (see
+        :class:`~repro.des.cohort.Cohort`)."""
+        proc = cls.__new__(cls)
+        Event.__init__(proc, env)
+        proc._generator = generator
+        proc.name = name
+        env._live[proc] = generator
+        if target.callbacks is not None:
+            target.callbacks.append(proc._resume)
+        else:
+            proc._resume(target)
+        return proc
 
     @property
     def is_alive(self) -> bool:

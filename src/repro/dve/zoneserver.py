@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster import Cluster
+from ..des import Cohort
 from ..net import Endpoint
 from ..oskern.node import Host
 from ..tcpip import TCPSocket
@@ -31,6 +32,9 @@ from .mysql import MYSQL_PORT, MySQLServer
 from .space import Zone
 
 __all__ = ["ZoneServerConfig", "ZoneServer"]
+
+#: The fluid real-time loop's period: one CPU-only update batch a second.
+FLUID_TICK = 1.0
 
 
 @dataclass(frozen=True)
@@ -208,17 +212,26 @@ class ZoneServer:
         return self.proc.cpu_demand
 
     # -- the real-time loop ----------------------------------------------------------
-    def start(self) -> None:
+    def start(self, cohort: Optional[Cohort] = None) -> Optional[Cohort]:
+        """Start the real-time loop (and the DB loop, with a MySQL
+        session).  A fluid loop joins ``cohort`` if it still takes
+        members, else a cohort of its own, and that cohort is returned:
+        servers started one after another at one instant share it."""
         if self._started:
             raise RuntimeError("zone server already started")
         self._started = True
         self.set_population(self.population)
+        name = f"zs{self.zone.zone_id}-rt"
         if self.config.traffic_mode == "packet":
-            self.env.process(self._packet_loop(), name=f"zs{self.zone.zone_id}-rt")
+            self.env.process(self._packet_loop(), name=name)
+            cohort = None
         else:
-            self.env.process(self._fluid_loop(), name=f"zs{self.zone.zone_id}-rt")
+            if cohort is None or not cohort.joinable:
+                cohort = Cohort(self.env, FLUID_TICK)
+            cohort.join(self._fluid_loop(cohort), name=name)
         if self.db_session is not None:
             self.env.process(self._db_loop(), name=f"zs{self.zone.zone_id}-db")
+        return cohort
 
     def _dirty(self, pages: int) -> None:
         pages = min(pages, self._state.npages)
@@ -244,11 +257,11 @@ class ZoneServer:
                 conn.send(("update", self.zone.zone_id), cfg.update_bytes)
                 self.updates_sent += 1
 
-    def _fluid_loop(self):
+    def _fluid_loop(self, cohort: Cohort):
         cfg = self.config
         while True:
             yield from self.proc.check_frozen()
-            yield self.env.timeout(1.0)
+            yield cohort.tick()
             yield from self.proc.check_frozen()
             self._dirty(cfg.dirty_pages_per_second)
 

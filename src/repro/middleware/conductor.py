@@ -32,6 +32,7 @@ from ..core import (
     MigrationReport,
 )
 from ..core.recovery import DEFAULT_RETRY
+from ..des import Cohort
 from ..net import IPAddr
 from ..oskern import SimProcess
 from ..oskern.node import Host
@@ -135,6 +136,7 @@ class Conductor:
         scan_ips: list[IPAddr],
         resolve_host: Callable[[IPAddr], Host],
         config: Optional[ConductorConfig] = None,
+        monitors: Optional[Cohort] = None,
     ) -> None:
         self.host = host
         self.env = host.env
@@ -143,7 +145,7 @@ class Conductor:
         self.resolve_host = resolve_host
         self.scan_ips = [ip for ip in scan_ips if ip != host.local_ip]
 
-        self.monitor = LoadMonitor(host, interval=MONITOR_INTERVAL)
+        self.monitor = LoadMonitor(host, interval=MONITOR_INTERVAL, cohort=monitors)
         self.peers = PeerDatabase(stale_timeout=cfg.peer_stale_timeout)
         self.detector = FailureDetector(
             self.env,
@@ -568,10 +570,13 @@ def install_conductor(
     scan_ips: list[IPAddr],
     resolve_host: Callable[[IPAddr], Host],
     config: Optional[ConductorConfig] = None,
+    monitors: Optional[Cohort] = None,
 ) -> Conductor:
-    """Install (or fetch) the conductor on a host."""
+    """Install (or fetch) the conductor on a host; its load monitor
+    joins ``monitors``, a cohort of period ``MONITOR_INTERVAL``, if one
+    is given."""
     daemon = host.daemons.get("conductor")
     if daemon is None:
-        daemon = Conductor(host, scan_ips, resolve_host, config)
+        daemon = Conductor(host, scan_ips, resolve_host, config, monitors)
         host.daemons["conductor"] = daemon
     return daemon

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from ..des import TimeSeries
+from ..des import Cohort, TimeSeries
 from ..oskern import SimProcess
 from ..oskern.node import Host
 
@@ -28,6 +28,7 @@ class LoadMonitor:
         interval: float = 1.0,
         window: int = 3,
         record_history: bool = True,
+        cohort: Optional[Cohort] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -40,18 +41,25 @@ class LoadMonitor:
         self.history: Optional[TimeSeries] = (
             TimeSeries(f"{host.name}-cpu") if record_history else None
         )
-        self._proc = self.env.process(self._sample_loop(), name=f"monitor-{host.name}")
+        # Monitors installed at one instant sample in lockstep: they
+        # share ``cohort`` (of period ``interval``; one is made when none
+        # is given).
+        if cohort is None:
+            cohort = Cohort(self.env, interval)
+        elif cohort.period != interval:
+            raise ValueError(f"cohort period {cohort.period} differs from the interval {interval}")
+        cohort.join(self._sample_loop(cohort), name=f"monitor-{host.name}")
         metrics = self.env.metrics
         if metrics is not None:
             metrics.gauge(f"cpu.{host.name}", fn=self.instantaneous_load)
 
-    def _sample_loop(self):
+    def _sample_loop(self, cohort: Cohort):
         while True:
             load = self.host.kernel.cpu.utilization()
             self._window.append(load)
             if self.history is not None:
                 self.history.record(self.env.now, load)
-            yield self.env.timeout(self.interval)
+            yield cohort.tick()
 
     # -- queries ---------------------------------------------------------------
     def current_load(self) -> float:

@@ -9,6 +9,7 @@ socket-migration path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Iterator, Optional
 
 __all__ = ["OpenFile", "RegularFile", "SocketFile", "FDTable"]
@@ -45,33 +46,55 @@ class SocketFile(OpenFile):
 
 
 class FDTable:
-    """fd -> OpenFile mapping with POSIX-style lowest-free allocation."""
+    """fd -> OpenFile mapping with POSIX-style lowest-free allocation.
+
+    Every fd at or above the high-water mark is free; the free fds below
+    it wait in a min-heap, so an install costs O(log n) instead of a scan
+    from fd 0.  An explicit install may leave its fd in the heap, and a
+    pop skips such occupied fds.
+    """
 
     def __init__(self) -> None:
         self._entries: dict[int, OpenFile] = {}
+        self._free: list[int] = []
+        self._next = 0
 
     def install(self, file: OpenFile, fd: Optional[int] = None) -> int:
         """Install ``file``; allocates the lowest free fd unless given."""
+        entries = self._entries
         if fd is None:
-            fd = 0
-            while fd in self._entries:
-                fd += 1
-        elif fd in self._entries:
+            free = self._free
+            while free:
+                fd = heappop(free)
+                if fd not in entries:
+                    break
+            else:
+                fd = self._next
+                self._next = fd + 1
+        elif fd in entries:
             raise ValueError(f"fd {fd} already in use")
         elif fd < 0:
             raise ValueError("fd must be non-negative")
-        self._entries[fd] = file
+        elif fd >= self._next:
+            for gap in range(self._next, fd):
+                heappush(self._free, gap)
+            self._next = fd + 1
+        entries[fd] = file
         return fd
 
     def close(self, fd: int) -> OpenFile:
         try:
-            return self._entries.pop(fd)
+            file = self._entries.pop(fd)
         except KeyError:
             raise ValueError(f"bad file descriptor {fd}") from None
+        heappush(self._free, fd)
+        return file
 
     def clear(self) -> None:
         """Drop every open file (a socket file refers back to its process)."""
         self._entries.clear()
+        self._free.clear()
+        self._next = 0
 
     def get(self, fd: int) -> OpenFile:
         try:

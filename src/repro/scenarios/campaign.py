@@ -426,6 +426,7 @@ def build_world(
         n_client_conns=spec.conns,
     )
     zone_servers = []
+    cohort = None
     for zone in grid.zones:
         node = cluster.nodes[grid.initial_node_of(zone)]
         zs = ZoneServer(cluster, node, zone, db=db, config=zs_config)
@@ -433,7 +434,9 @@ def build_world(
             zs.connect_clients()
         if db is not None:
             zs.connect_db()
-        zs.start()
+        # Servers started at one instant tick in one cohort; opening
+        # connections advances time, so then each gets its own.
+        cohort = zs.start(cohort)
         zone_servers.append(zs)
 
     conductors = []

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..des import SeriesBundle
+from ..des import Cohort, SeriesBundle
 from .primitives import FlashCrowd, ScenarioSpec
 from .workload import start_dirtier
 
@@ -145,9 +145,10 @@ class ScenarioDriver:
         spec = self.spec
 
         if spec.hotset is not None:
+            cohort = Cohort(self.env, spec.hotset.interval)
             for zs in self.zone_servers:
                 self.dirtier_stats.append(
-                    start_dirtier(self.env, zs.proc, zs.state_area, spec.hotset)
+                    start_dirtier(self.env, zs.proc, zs.state_area, spec.hotset, cohort)
                 )
 
         if spec.background is not None:

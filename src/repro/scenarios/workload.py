@@ -14,8 +14,9 @@ primitives.HotSet` primitive, so scenario specs can carry it in the DSL
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
+from ..des import Cohort
 from ..oskern import RpcError
 from .primitives import HotSet
 
@@ -36,6 +37,7 @@ def start_dirtier(
     proc: "SimProcess",
     area,
     pattern: HotSet,
+    cohort: Optional[Cohort] = None,
 ) -> dict:
     """Spawn a write-hot workload on ``proc``: every ``pattern.interval``
     seconds, write ``pattern.pages`` pages of ``area`` (from
@@ -46,16 +48,29 @@ def start_dirtier(
     application under migration: it pauses while frozen, blocks on
     demand fetches after a post-copy thaw, and slows down while
     auto-convergence throttles the process (the tick interval stretches
-    by the inverse of the CPU share).  Returns a live stats dict with
+    by the inverse of the CPU share).  Dirtiers started at one instant
+    share ``cohort`` (of period ``pattern.interval``; one is made when
+    none is given); a dirtier leaves it at its first throttled tick,
+    demand fetch or freeze.  Returns a live stats dict with
     ``ticks`` (completed write bursts), ``faulted`` (bursts that hit at
     least one non-resident page) and ``errors`` (aborted post-copy
     fetches, which also stop the workload).
     """
+    if cohort is None:
+        cohort = Cohort(env, pattern.interval)
+    elif cohort.period != pattern.interval:
+        raise ValueError(
+            f"cohort period {cohort.period} differs from the interval {pattern.interval}"
+        )
     stats = dirtier_stats()
 
     def loop():
         while True:
-            yield env.timeout(pattern.interval / max(proc.cpu_throttle, 1e-6))
+            throttle = proc.cpu_throttle
+            if throttle == 1.0:
+                yield cohort.tick()
+            else:
+                yield env.timeout(pattern.interval / max(throttle, 1e-6))
             had_absent = proc.address_space.has_absent
             try:
                 yield from proc.touch_range(area, pattern.pages, pattern.offset)
@@ -66,5 +81,5 @@ def start_dirtier(
             if had_absent:
                 stats["faulted"] += 1
 
-    env.process(loop(), name=f"dirtier-{proc.pid}")
+    cohort.join(loop(), name=f"dirtier-{proc.pid}")
     return stats

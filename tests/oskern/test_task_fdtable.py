@@ -1,6 +1,8 @@
 """Unit tests for processes, threads and FD tables."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import Environment
 from repro.oskern import (
@@ -35,6 +37,33 @@ class TestFDTable:
             t.install(RegularFile(path="/b"), fd=7)
         with pytest.raises(ValueError):
             t.install(RegularFile(path="/b"), fd=-1)
+
+    def test_explicit_fds_leave_lower_gaps_allocatable(self):
+        t = FDTable()
+        assert t.install(RegularFile(path="/a"), fd=3) == 3
+        assert [t.install(RegularFile()) for _ in range(4)] == [0, 1, 2, 4]
+        t.close(1)
+        assert t.install(RegularFile(path="/b"), fd=1) == 1
+        assert t.install(RegularFile()) == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("iec"), st.integers(0, 12)), max_size=60))
+    def test_allocation_matches_a_scan_from_zero(self, ops):
+        """Installs, explicit installs and closes hand out the fds a
+        lowest-free scan from fd 0 would."""
+        t, taken = FDTable(), set()
+        for op, fd in ops:
+            if op == "i":
+                want = min(set(range(len(taken) + 1)) - taken)
+                assert t.install(RegularFile()) == want
+                taken.add(want)
+            elif op == "e" and fd not in taken:
+                assert t.install(RegularFile(), fd=fd) == fd
+                taken.add(fd)
+            elif op == "c" and fd in taken:
+                t.close(fd)
+                taken.discard(fd)
+        assert sorted(fd for fd, _ in t.items()) == sorted(taken)
 
     def test_close_and_get(self):
         t = FDTable()

@@ -104,3 +104,24 @@ def test_closed_cluster_dies_with_its_last_reference(built_envs):
     cluster.close()  # a second close does nothing
     del cluster, node, proc
     assert_no_world_left(built_envs)
+
+
+def test_closed_world_with_cohorts_dies_with_its_last_reference(built_envs):
+    """Zone servers, dirtiers and load monitors all tick in cohorts; a
+    member that left its cohort (frozen by a migration) is a process."""
+    from repro.core import LiveMigrationConfig, migrate_process
+    from repro.scenarios.campaign import build_world, drive_world, get_campaign
+
+    campaign = get_campaign("hotset-postcopy")
+    world = build_world(
+        campaign.scenario, seed=campaign.seed, balancers=campaign.conductor_config(campaign.seed)
+    )
+    drive_world(world, campaign)
+    cluster = world.cluster
+    zs = world.zone_servers[0]
+    dest = cluster.nodes[1]
+    cluster.env.run(until=migrate_process(zs.current_node(), dest, zs.proc, LiveMigrationConfig()))
+    cluster.env.run(until=cluster.env.now + 5.0)
+    cluster.close()
+    del world, cluster, zs, dest
+    assert_no_world_left(built_envs)
