@@ -30,10 +30,9 @@ Set ``REPRO_BENCH_QUICK=1`` for a CI-sized run.
 import os
 
 from repro.analysis import render_table
-from repro.cluster import build_cluster
-from repro.core import LiveMigrationConfig, migrate_process
-from repro.oskern import RpcError
-from repro.testing import run_for
+from repro.core import LiveMigrationConfig
+from repro.scenarios.workload import RotatingWindow
+from repro.testing import MigrationWorld, WorldSpec
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 PAGES = 512 if QUICK else 4096
@@ -49,58 +48,25 @@ TICK = 0.002
 MODES = ("precopy", "postcopy", "hybrid")
 
 
-def start_rotating_dirtier(cluster, proc, area, count, interval):
-    """A write-hot workload whose window rotates through the area.
-
-    Uses the fault-aware ``touch_range`` path: pauses while frozen,
-    stalls on demand fetches after a post-copy thaw, and slows down
-    under auto-convergence throttling.
-    """
-    stats = {"ticks": 0, "errors": 0}
-
-    def loop():
-        offset = 0
-        while True:
-            yield cluster.env.timeout(interval / max(proc.cpu_throttle, 1e-6))
-            try:
-                yield from proc.touch_range(area, count, offset)
-            except RpcError:
-                stats["errors"] += 1
-                return
-            stats["ticks"] += 1
-            offset += count
-            if offset + count > area.npages:
-                offset = 0
-
-    cluster.env.process(loop())
-    return stats
-
-
 def one(mode, workload, compression="none", auto_converge=False, pages=None):
     """One migration under the given mode/workload; returns metrics."""
     pages = PAGES if pages is None else pages
-    cluster = build_cluster(n_nodes=2, with_db=False)
-    source, dest = cluster.nodes
-    proc = source.kernel.spawn_process("srv0")
-    area = proc.address_space.mmap(pages, tag="heap")
-    stats = None
+    writer = None
     if workload != "cold":
         count = HOT_COUNT if workload == "hot" else pages // CHURN_FRACTION
-        stats = start_rotating_dirtier(cluster, proc, area, count, TICK)
-    run_for(cluster, 0.2)
+        writer = RotatingWindow(count, TICK)
+    world = MigrationWorld(WorldSpec(pages=pages, writer=writer))
+    world.warm()
 
     cfg = LiveMigrationConfig(
         mode=mode, compression=compression, auto_converge=auto_converge
     )
-    t0 = cluster.env.now
-    report = cluster.env.run(until=migrate_process(source, dest, proc, cfg))
-    run_for(cluster, 0.5)  # let the workload resume on the destination
+    t0 = world.cluster.env.now
+    report = world.migrate(cfg)
+    problems = world.check()
+    world.close()
     variant = "autoconv" if auto_converge else compression
-    assert report.success, f"{mode}/{variant} {workload}: {report.error}"
-    assert proc.kernel is dest.kernel
-    assert not proc.address_space.has_absent
-    if stats is not None:
-        assert stats["errors"] == 0
+    assert not problems, f"{mode}/{variant} {workload}: {'; '.join(problems)}"
     return {
         "mode": mode,
         "workload": workload,

@@ -118,23 +118,19 @@ def run_case(mode: str, compression: str):
     process re-dirties a hot set slowly enough that XBZRLE deltas pay,
     and starts with unwritten pages, so every compressor branch (zero
     page, paying delta, full page) feeds the report's timings and bytes."""
-    from repro.cluster import build_cluster
-    from repro.core import LiveMigrationConfig, migrate_process
-    from repro.scenarios.workload import HotSet, start_dirtier
-    from repro.testing import run_for
+    from repro.core import LiveMigrationConfig
+    from repro.scenarios.workload import HotSet
+    from repro.testing import MigrationWorld, WorldSpec
 
-    cluster = build_cluster(n_nodes=2, with_db=False, master_seed=5)
-    source, dest = cluster.nodes
-    proc = source.kernel.spawn_process("reports0")
-    space = proc.address_space
-    area = space.mmap(PAGES, tag="heap")
-    for offset, count in PREWRITE:
-        space.write_range(area, count, offset)
-    start_dirtier(cluster.env, proc, area, HotSet(pages=96, interval=0.003, offset=850))
-    run_for(cluster, 0.1)
-    cfg = LiveMigrationConfig(mode=mode, compression=compression)
-    report = cluster.env.run(until=migrate_process(source, dest, proc, cfg))
-    run_for(cluster, 0.3)
+    world = MigrationWorld(
+        WorldSpec(
+            name="reports0", seed=5, pages=PAGES, prewrite=PREWRITE,
+            writer=HotSet(pages=96, interval=0.003, offset=850), warmup=0.1,
+        )
+    )
+    world.warm()
+    report = world.migrate(LiveMigrationConfig(mode=mode, compression=compression))
+    world.close()
     return report
 
 

@@ -21,11 +21,10 @@ import argparse
 from pathlib import Path
 
 from repro.analysis import render_table
-from repro.cluster import build_cluster
-from repro.core import LiveMigrationConfig, migrate_process
+from repro.core import LiveMigrationConfig
 from repro.obs import trace_to_jsonl
-from repro.scenarios.workload import HotSet, start_dirtier
-from repro.testing import establish_clients, run_for
+from repro.scenarios.workload import HotSet
+from repro.testing import MigrationWorld, WorldSpec
 
 PAGES = 512
 HOT_PAGES = 64
@@ -33,27 +32,19 @@ HOT_PAGES = 64
 
 def migrate_once(mode, compression="none", trace=False):
     """Fresh cluster, hot zone server, one migration under ``mode``."""
-    cluster = build_cluster(n_nodes=2, with_db=False)
-    tracer = cluster.env.enable_tracing() if trace else None
-    source, dest = cluster.nodes
-
-    proc = source.kernel.spawn_process("zone_serv0")
-    area = proc.address_space.mmap(PAGES, tag="world-state")
-    establish_clients(cluster, source, proc, 27960, 2)
     # Players keep mutating a hot slice of the world throughout.
-    stats = start_dirtier(
-        cluster.env, proc, area, HotSet(pages=HOT_PAGES, interval=0.002)
+    world = MigrationWorld(
+        WorldSpec(
+            name="zone_serv0", pages=PAGES, writer=HotSet(pages=HOT_PAGES, interval=0.002),
+            clients=2, warmup=0.5, trace=trace,
+        )
     )
-    run_for(cluster, 0.5)
-
-    cfg = LiveMigrationConfig(mode=mode, compression=compression)
-    report = cluster.env.run(until=migrate_process(source, dest, proc, cfg))
-    run_for(cluster, 0.5)  # workload resumes on the destination
-    assert report.success, report.error
-    assert proc.kernel is dest.kernel
-    assert not proc.address_space.has_absent
-    assert stats["errors"] == 0
-    return report, tracer
+    world.warm()
+    report = world.migrate(LiveMigrationConfig(mode=mode, compression=compression))
+    problems = world.check()  # the workload resumes on the destination
+    world.close()
+    assert not problems, problems
+    return report, world.tracer
 
 
 def main() -> None:

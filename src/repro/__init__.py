@@ -15,16 +15,11 @@ server and the 10,000-client DVE simulation).
 
 Quick start::
 
-    from repro.cluster import build_cluster
-    from repro.core import migrate_process
-    from repro.testing import establish_clients
+    from repro.core import LiveMigrationConfig
+    from repro.testing import MigrationWorld, WorldSpec
 
-    cluster = build_cluster(n_nodes=2, with_db=False)
-    node, dest = cluster.nodes
-    proc = node.kernel.spawn_process("game_server")
-    proc.address_space.mmap(256)
-    establish_clients(cluster, node, proc, 27960, n_clients=8)
-    report = cluster.env.run(until=migrate_process(node, dest, proc))
+    world = MigrationWorld(WorldSpec(name="game_server", pages=256, clients=8))
+    report = world.migrate(LiveMigrationConfig())
     print(report.summary())
 """
 

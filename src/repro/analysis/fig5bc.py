@@ -9,16 +9,15 @@ session (Section VI-D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..cluster import Cluster, ClusterConfig
-from ..core import LiveMigrationConfig, MigrationReport, install_transd, migrate_process
-from ..testing import connect_local_tcp, establish_clients, run_for
+from ..core import LiveMigrationConfig, MigrationReport
+from ..testing import CLIENT_UPDATES, MigrationWorld, WorldSpec
 from .report import render_table
 
-__all__ = ["SweepConfig", "SweepPoint", "FreezeSweepResult", "run_freeze_sweep", "render_fig5b", "render_fig5c"]
+__all__ = ["SweepConfig", "SweepPoint", "FreezeSweepResult", "FIG5B_WORLD", "run_freeze_sweep", "render_fig5b", "render_fig5c"]
 
 DEFAULT_CONN_COUNTS = (16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_STRATEGIES = ("iterative", "collective", "incremental-collective")
@@ -30,15 +29,7 @@ class SweepConfig:
     strategies: Sequence[str] = DEFAULT_STRATEGIES
     #: Worst case over this many repetitions (the paper plots worst case).
     repetitions: int = 3
-    #: Zone-server memory and traffic.
-    memory_pages: int = 1500
-    update_hz: float = 20.0
-    update_bytes: int = 256
-    dirty_pages_per_tick: int = 30
-    warmup: float = 0.3
     seed: int = 42
-    with_mysql: bool = True
-    migration: LiveMigrationConfig = field(default_factory=LiveMigrationConfig)
     #: When set, each migration is traced and its event stream written
     #: as ``trace_dir/fig5b_n{N}_{strategy}_rep{R}.jsonl``.
     trace_dir: Optional[Path] = None
@@ -74,47 +65,21 @@ class FreezeSweepResult:
         )
 
 
-def _one_migration(
-    cfg: SweepConfig,
-    n: int,
-    strategy: str,
-    seed: int,
-    trace_path: Optional[Path] = None,
-) -> MigrationReport:
-    cluster = Cluster(
-        ClusterConfig(n_nodes=2, with_db=cfg.with_mysql, master_seed=seed)
-    )
-    tracer = cluster.env.enable_tracing() if trace_path is not None else None
-    node = cluster.nodes[0]
-    proc = node.kernel.spawn_process("zone_serv")
-    area = proc.address_space.mmap(cfg.memory_pages, tag="world-state")
-    _, children, _ = establish_clients(cluster, node, proc, 27960, n, settle=2.0)
-    if cfg.with_mysql:
-        install_transd(cluster.db)
-        db_proc = cluster.db.kernel.spawn_process("mysqld")
-        connect_local_tcp(cluster, node, proc, cluster.db, db_proc, 3306)
+#: The measured zone server (Section VI-D): 1500 pages, a MySQL session
+#: and a 256 B update to each client at 20 Hz; a run sets clients and seed.
+FIG5B_WORLD = WorldSpec(name="zone_serv", pages=1500, writer=CLIENT_UPDATES, peer=True, warmup=0.3)
 
-    def rt_loop():
-        interval = 1.0 / cfg.update_hz
-        while True:
-            yield from proc.check_frozen()
-            yield cluster.env.timeout(interval)
-            yield from proc.check_frozen()
-            proc.address_space.write_range(area, count=cfg.dirty_pages_per_tick)
-            for ch in children:
-                ch.send("update", cfg.update_bytes)
 
-    cluster.env.process(rt_loop())
-    run_for(cluster, cfg.warmup)
-    ev = migrate_process(
-        node, cluster.nodes[1], proc, cfg.migration.with_overrides(strategy=strategy)
-    )
-    report = cluster.env.run(until=ev)
-    if tracer is not None:
+def _one_migration(cfg: SweepConfig, n: int, strategy: str, rep: int) -> MigrationReport:
+    trace = cfg.trace_dir is not None
+    world = MigrationWorld(replace(FIG5B_WORLD, clients=n, seed=cfg.seed + rep, trace=trace))
+    world.warm()
+    report = world.migrate(LiveMigrationConfig(strategy=strategy))
+    if trace:
         from ..obs import write_jsonl
 
-        write_jsonl(trace_path, tracer)
-    cluster.close()
+        write_jsonl(cfg.trace_dir / f"fig5b_n{n}_{strategy}_rep{rep}.jsonl", world.tracer)
+    world.close()
     return report
 
 
@@ -130,18 +95,7 @@ def run_freeze_sweep(config: Optional[SweepConfig] = None) -> FreezeSweepResult:
     points = []
     for n in cfg.conn_counts:
         for strategy in cfg.strategies:
-            reports = []
-            for rep in range(cfg.repetitions):
-                trace_path = (
-                    cfg.trace_dir / f"fig5b_n{n}_{strategy}_rep{rep}.jsonl"
-                    if cfg.trace_dir is not None
-                    else None
-                )
-                reports.append(
-                    _one_migration(
-                        cfg, n, strategy, seed=cfg.seed + rep, trace_path=trace_path
-                    )
-                )
+            reports = [_one_migration(cfg, n, strategy, rep) for rep in range(cfg.repetitions)]
             ok = [r for r in reports if r.success and r.freeze_time is not None]
             if not ok:
                 errors = "; ".join(sorted({r.error or "?" for r in reports}))

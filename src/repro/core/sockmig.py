@@ -348,7 +348,6 @@ class SocketStaging:
 
     def __init__(self) -> None:
         self._merged: dict[tuple, _MergedSocket] = {}
-        self.records_applied = 0
 
     def apply(self, record: SocketRecord) -> None:
         merged = self._merged.get(record.flow_id)
@@ -360,7 +359,6 @@ class SocketStaging:
             self._merged[record.flow_id] = _MergedSocket(record)
         else:
             merged.apply(record)
-        self.records_applied += 1
 
     def apply_all(self, records: list[SocketRecord]) -> None:
         for rec in records:

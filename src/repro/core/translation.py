@@ -67,7 +67,6 @@ class TransD:
         self._out_hook = None
         self.out_translated = 0
         self.in_translated = 0
-        self.installs_forwarded = 0
         host.control.register(TRANSD_PORT, self._handle_request)
 
     # -- control-plane ----------------------------------------------------------
@@ -79,7 +78,6 @@ class TransD:
             # chase it through the tombstone chain.
             fwd = self._tombstones.get((rule.peer_port, rule.old_ip, rule.mig_port))
             if fwd is not None:
-                self.installs_forwarded += 1
                 tr = self.host.env.tracer
                 if tr.enabled:
                     tr.event(

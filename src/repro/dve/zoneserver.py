@@ -10,7 +10,8 @@ the number of clients present in the zone.
 Two traffic fidelities:
 
 - ``packet`` — the full 20 Hz update traffic on every client connection;
-  used by the freeze-time sweeps (Fig. 5b/5c) over seconds-long windows;
+  used where the update cadence itself is measured
+  (``bench_ext_interactivity``; Fig. 5b/5c build no ``ZoneServer``);
 - ``fluid`` — client-update traffic is suppressed and only its CPU cost
   is modelled, while DB queries and memory dirtying stay real; used by
   the 15-minute load-balancing runs (Fig. 5d/e/f), where packet-level
@@ -60,9 +61,6 @@ class ZoneServerConfig:
     traffic_mode: str = "fluid"
     #: Base TCP port; zone servers listen on port_base + zone_id.
     port_base: int = 30000
-    #: Interval between boundary-sync messages to the east neighbour.
-    neighbor_sync_interval: float = 2.0
-    neighbor_sync_bytes: int = 96
 
 
 class ZoneServer:
@@ -90,13 +88,6 @@ class ZoneServer:
         self.listener: Optional[TCPSocket] = None
         self.client_conns: list[TCPSocket] = []
         self.db_session: Optional[TCPSocket] = None
-        #: Direct connection to the east neighbour zone server (Section
-        #: VI-C future work: in-cluster zone-server <-> zone-server
-        #: links, migratable on both ends).
-        self.neighbor_sock: Optional[TCPSocket] = None
-        self._neighbor_listener: Optional[TCPSocket] = None
-        self.neighbor_msgs_sent = 0
-        self.neighbor_msgs_received = 0
         self.population = 0
         self.updates_sent = 0
         self.db_replies = 0
@@ -126,64 +117,6 @@ class ZoneServer:
         if not ev.triggered:
             raise RuntimeError(f"zone_serv{self.zone.zone_id}: DB handshake incomplete")
         self.db_session = sock
-
-    # -- neighbour links (zone server <-> zone server, Section VI-C) ---------
-    NEIGHBOR_PORT_BASE = 40000
-
-    @property
-    def neighbor_port(self) -> int:
-        return self.NEIGHBOR_PORT_BASE + self.zone.zone_id
-
-    def listen_neighbors(self) -> None:
-        """Accept boundary-sync connections from west neighbours on the
-        cluster-local network."""
-        node = self.current_node()
-        self._neighbor_listener = node.stack.tcp_socket(self.proc)
-        self._neighbor_listener.bind(self.neighbor_port, ip=node.local_ip)
-        self._neighbor_listener.listen()
-
-        def accept_loop():
-            while True:
-                session = yield self._neighbor_listener.accept()
-                self.env.process(self._neighbor_rx(session), name="zs-neigh-rx")
-
-        self.env.process(accept_loop(), name=f"zs{self.zone.zone_id}-neigh-accept")
-
-    def connect_neighbor(self, east: "ZoneServer", settle: float = 0.1) -> None:
-        """Open the boundary-sync connection to the east neighbour."""
-        if east._neighbor_listener is None:
-            raise RuntimeError(f"neighbor zone {east.zone.zone_id} is not listening")
-        sock = self.current_node().stack.tcp_socket(self.proc)
-        ev = sock.connect(
-            Endpoint(east.current_node().local_ip, east.neighbor_port)
-        )
-        self.env.run(until=self.env.now + settle)
-        if not ev.triggered:
-            raise RuntimeError(
-                f"zone {self.zone.zone_id} -> {east.zone.zone_id}: "
-                "neighbor handshake incomplete"
-            )
-        self.neighbor_sock = sock
-        self.env.process(self._neighbor_rx(sock), name="zs-neigh-rx")
-        self.env.process(self._neighbor_loop(), name=f"zs{self.zone.zone_id}-nb")
-
-    def _neighbor_rx(self, sock: TCPSocket):
-        while True:
-            skb = yield sock.recv()
-            if skb.size == 0:
-                return
-            self.neighbor_msgs_received += 1
-
-    def _neighbor_loop(self):
-        """Boundary sync to the east neighbour, every
-        ``neighbor_sync_interval`` from the moment the link is up."""
-        cfg = self.config
-        while True:
-            yield from self.proc.check_frozen()
-            yield self.env.timeout(cfg.neighbor_sync_interval)
-            yield from self.proc.check_frozen()
-            self.neighbor_sock.send(("boundary", self.zone.zone_id), cfg.neighbor_sync_bytes)
-            self.neighbor_msgs_sent += 1
 
     @property
     def state_area(self):

@@ -23,7 +23,6 @@ faults that caused it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..des import Environment
 from ..net import IPAddr
@@ -74,7 +73,6 @@ class FailureDetector:
         self.dead_timeout = dead_timeout
         self.node = node
         self._peers: dict[IPAddr, PeerHealth] = {}
-        self.suspects_total = 0
         self.deaths_total = 0
         self.recoveries_total = 0
 
@@ -119,7 +117,6 @@ class FailureDetector:
             if rec.state == ALIVE and silent > self.suspect_timeout:
                 rec.state = SUSPECT
                 rec.since = now
-                self.suspects_total += 1
                 changed.append(rec)
                 if tr.enabled:
                     tr.event(
@@ -143,9 +140,6 @@ class FailureDetector:
         return changed
 
     # -- queries --------------------------------------------------------------
-    def health(self, ip: IPAddr) -> Optional[PeerHealth]:
-        return self._peers.get(ip)
-
     def state(self, ip: IPAddr) -> str:
         """Detector state for ``ip``; an unknown peer counts as alive
         (we have no evidence against it)."""
@@ -158,9 +152,6 @@ class FailureDetector:
 
     def suspects(self) -> list[PeerHealth]:
         return [r for r in self._peers.values() if r.state == SUSPECT]
-
-    def dead(self) -> list[PeerHealth]:
-        return [r for r in self._peers.values() if r.state == DEAD]
 
     def __len__(self) -> int:
         return len(self._peers)

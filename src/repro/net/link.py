@@ -170,10 +170,6 @@ class Link:
             raise RuntimeError(f"link {self.name!r} already has a fault filter")
         self._fault_filter = fn
 
-    def tx_time(self, packet: Packet) -> float:
-        """Serialization time of a packet on this link."""
-        return packet.size * 8 / self.bandwidth_bps
-
     def send(self, packet: Packet, from_side: int) -> float:
         """Queue ``packet`` for transmission from ``from_side``.
 

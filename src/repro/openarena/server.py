@@ -68,7 +68,6 @@ class OpenArenaServer:
         #: client endpoint -> join time.
         self.clients: dict[Endpoint, float] = {}
         self.frames = 0
-        self.snapshots_sent = 0
         self.inputs_processed = 0
         self._pending_inputs: list = []
         self._started = False
@@ -145,7 +144,6 @@ class OpenArenaServer:
                     cfg.snapshot_bytes,
                     client,
                 )
-                self.snapshots_sent += 1
 
     @property
     def n_clients(self) -> int:

@@ -14,6 +14,7 @@ primitives.HotSet` primitive, so scenario specs can carry it in the DSL
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..des import Cohort
@@ -24,7 +25,7 @@ if TYPE_CHECKING:
     from ..des import Environment
     from ..oskern import SimProcess
 
-__all__ = ["HotSet", "start_dirtier", "dirtier_stats"]
+__all__ = ["HotSet", "RotatingWindow", "start_dirtier", "start_rotating_dirtier", "dirtier_stats"]
 
 
 def dirtier_stats() -> dict:
@@ -82,4 +83,37 @@ def start_dirtier(
                 stats["faulted"] += 1
 
     cohort.join(loop(), name=f"dirtier-{proc.pid}")
+    return stats
+
+
+@dataclass(frozen=True)
+class RotatingWindow:
+    """``count`` pages written every ``interval`` seconds, at an offset
+    that moves on by ``count`` each tick and wraps at the area's end."""
+
+    count: int
+    interval: float
+
+
+def start_rotating_dirtier(env: "Environment", proc: "SimProcess", area, window: RotatingWindow) -> dict:
+    """:func:`start_dirtier` for a :class:`RotatingWindow`, as a process
+    of its own rather than a cohort member; live ``ticks``/``errors``."""
+    count, interval = window.count, window.interval
+    stats = {"ticks": 0, "errors": 0}
+
+    def loop():
+        offset = 0
+        while True:
+            yield env.timeout(interval / max(proc.cpu_throttle, 1e-6))
+            try:
+                yield from proc.touch_range(area, count, offset)
+            except RpcError:
+                stats["errors"] += 1
+                return
+            stats["ticks"] += 1
+            offset += count
+            if offset + count > area.npages:
+                offset = 0
+
+    env.process(loop())
     return stats

@@ -38,7 +38,6 @@ class UDPSocket:
         self.migrating = False
         #: See TCPSocket.orig_local_ip — set by in-cluster migration.
         self.orig_local_ip: Optional[IPAddr] = None
-        self.datagrams_sent = 0
         self.datagrams_received = 0
 
     @property
@@ -88,7 +87,6 @@ class UDPSocket:
             pkt.dst_cache_ip = self.dst_entry.ip
         pkt.seal()
         self.stack.ip.ip_output(pkt)
-        self.datagrams_sent += 1
 
     def send(self, payload: Any, size: int) -> None:
         if self.remote is None:

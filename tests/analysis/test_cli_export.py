@@ -46,8 +46,7 @@ class TestExport:
         from repro.analysis import SweepConfig, run_freeze_sweep
 
         result = run_freeze_sweep(
-            SweepConfig(conn_counts=(16,), strategies=("collective",),
-                        repetitions=1, warmup=0.2, with_mysql=False)
+            SweepConfig(conn_counts=(16,), strategies=("collective",), repetitions=1)
         )
         csv = sweep_to_csv(result)
         lines = csv.strip().splitlines()

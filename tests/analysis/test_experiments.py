@@ -27,7 +27,7 @@ from repro.openarena import Fig4Config
 @pytest.fixture(scope="module")
 def sweep():
     return run_freeze_sweep(
-        SweepConfig(conn_counts=(16, 64), repetitions=1, warmup=0.2)
+        SweepConfig(conn_counts=(16, 64), repetitions=1)
     )
 
 

@@ -5,12 +5,24 @@ Every experiment harness relies on this — EXPERIMENTS.md quotes absolute
 numbers that must regenerate bit-identically on any machine.
 """
 
+from dataclasses import replace
 
 import numpy as np
 
 from repro.analysis import FIG5_QUICK_CAMPAIGN
-from repro.analysis.fig5bc import SweepConfig, _one_migration
+from repro.analysis.fig5bc import FIG5B_WORLD
 from repro.analysis.fig5def import build_fig5_world, run_fig5, zone_counts
+from repro.core import LiveMigrationConfig
+from repro.testing import MigrationWorld
+
+
+def fig5b_migration(n, seed):
+    """One Fig. 5b migration of a zone server with ``n`` clients."""
+    world = MigrationWorld(replace(FIG5B_WORLD, clients=n, seed=seed))
+    world.warm()
+    report = world.migrate(LiveMigrationConfig(strategy="incremental-collective"))
+    world.close()
+    return report
 
 
 def small_dve(seed):
@@ -21,8 +33,8 @@ def small_dve(seed):
 
 class TestDeterminism:
     def test_migration_replays_bit_identically(self):
-        a = _one_migration(SweepConfig(), 64, "incremental-collective", seed=7)
-        b = _one_migration(SweepConfig(), 64, "incremental-collective", seed=7)
+        a = fig5b_migration(64, seed=7)
+        b = fig5b_migration(64, seed=7)
         assert a.freeze_time == b.freeze_time
         assert a.total_time == b.total_time
         assert a.bytes.total == b.bytes.total
@@ -30,8 +42,8 @@ class TestDeterminism:
         assert a.packets_captured == b.packets_captured
 
     def test_different_seed_differs(self):
-        a = _one_migration(SweepConfig(), 64, "incremental-collective", seed=7)
-        b = _one_migration(SweepConfig(), 64, "incremental-collective", seed=8)
+        a = fig5b_migration(64, seed=7)
+        b = fig5b_migration(64, seed=8)
         # Jiffies offsets differ -> the timestamp delta must differ.
         assert a.jiffies_delta != b.jiffies_delta
 
@@ -79,10 +91,16 @@ class TestTraceByteDeterminism:
         import sys
 
         script = (
-            "import sys; from pathlib import Path\n"
-            "from repro.analysis.fig5bc import SweepConfig, _one_migration\n"
-            "_one_migration(SweepConfig(), 16, 'incremental-collective',\n"
-            "               seed=42, trace_path=Path(sys.argv[1]))\n"
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from repro.analysis.fig5bc import FIG5B_WORLD\n"
+            "from repro.core import LiveMigrationConfig\n"
+            "from repro.obs import write_jsonl\n"
+            "from repro.testing import MigrationWorld\n"
+            "world = MigrationWorld(replace(FIG5B_WORLD, clients=16, seed=42, trace=True))\n"
+            "world.warm()\n"
+            "world.migrate(LiveMigrationConfig(strategy='incremental-collective'))\n"
+            "write_jsonl(sys.argv[1], world.tracer)\n"
         )
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for p in paths:

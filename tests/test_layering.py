@@ -32,6 +32,24 @@ def test_substrate_does_not_load_upper_layers(module):
     assert out.strip() == "[]"
 
 
+def test_testing_helpers_load_no_world_above_the_migration_core():
+    """``repro.testing`` builds migration worlds from the core alone; the
+    writers' ``repro.scenarios`` is imported only when a writer starts."""
+    upper = ("repro.scenarios", "repro.analysis", "repro.middleware", "repro.dve")
+    probe = (
+        "import sys, repro.testing\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({upper!r})))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(SRC)},
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_simulator_core_loads_only_the_tracer_and_metrics_of_obs():
     analysis = [
         f"repro.obs.{m}" for m in ("causal", "diff", "export", "perfetto", "samplers", "slo")

@@ -90,6 +90,22 @@ def test_run_fig5def_frees_its_worlds(built_envs):
     assert_no_world_left(built_envs)
 
 
+def test_closed_migration_world_dies_with_its_last_reference(built_envs):
+    from repro.core import LiveMigrationConfig
+    from repro.scenarios.workload import HotSet
+    from repro.testing import CLIENT_UPDATES, MigrationWorld, WorldSpec
+
+    for writer in (HotSet(pages=8, interval=0.01), CLIENT_UPDATES):
+        world = MigrationWorld(WorldSpec(pages=32, writer=writer, clients=2, peer=True))
+        world.warm()
+        report = world.migrate(LiveMigrationConfig(mode="postcopy"))
+        assert world.check() == []
+        world.close()
+    assert report.success
+    del world, report
+    assert_no_world_left(built_envs)
+
+
 def test_closed_cluster_dies_with_its_last_reference(built_envs):
     from repro.cluster import build_cluster
     from repro.testing import establish_clients, run_for
